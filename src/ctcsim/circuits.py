@@ -251,12 +251,14 @@ class StochasticMatrix:
     def column_defects(self) -> List[str]:
         """Human-readable stochasticity violations, empty when valid."""
         out = []
-        for j in range(self.dim):
+        dim, entries = self.dim, self.matrix.entries
+        for j in range(dim):
             total = Rational(0)
-            for i in range(self.dim):
-                e = self.matrix.entry(i, j)
+            for i, e in enumerate(entries[j::dim]):
                 if e.im:
                     out.append(f"entry ({i},{j}) is not real")
+                elif not e.re:
+                    continue  # an exact zero is in range and adds nothing
                 elif e.re < 0 or e.re > 1:
                     out.append(f"entry ({i},{j}) = {e.re} outside [0,1]")
                 else:

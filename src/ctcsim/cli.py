@@ -7,7 +7,7 @@ object {"schema_version", "data", "timings_ms"} whose data section is
 deterministic for identical inputs.
 
 Exit codes: 0 success or accept, 1 reject, 2 parse error, 3 semantic
-violation, 4 ambiguous verdict, 5 resource cap.
+violation, 4 ambiguous verdict, 5 resource cap, 6 internal error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,7 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_AMBIGUOUS = 4
 EXIT_RESOURCE = 5
+EXIT_INTERNAL = 6
 
 _DECISION_EXIT = {"accept": EXIT_OK, "reject": EXIT_REJECT, "ambiguous": EXIT_AMBIGUOUS}
 
@@ -473,6 +475,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except (ContractViolationError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as exc:
+        # a kernel bug must never read as a verdict, least of all "reject"
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv: Optional[List[str]] = None) -> int:

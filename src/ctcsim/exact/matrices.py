@@ -3,10 +3,13 @@
 Representation: row-major tuple of GaussianRational entries.  Matrices are
 immutable; every operation returns a new matrix and equality is exact.
 
-Determinants, inverses, and adjugates run on a denominator-cleared copy of
-the matrix using fraction-free (Bareiss style) elimination over the
-Gaussian integers.  Divisions inside the elimination are exact by the
-Sylvester minor identities; each one is checked with divmod so that a
+Determinants, inverses, adjugates, and nullspaces run on a
+denominator-cleared copy of the matrix using fraction-free (Bareiss
+style) elimination over the Gaussian integers.  One Gauss-Jordan kernel
+serves both the adjugate, on [M | I] with pivots in the first n columns,
+and the nullspace, with pivots anywhere; results are rescaled to
+rationals once at the end.  Divisions inside the elimination are exact by
+the Sylvester minor identities; each one is checked with divmod so that a
 kernel bug surfaces as a loud error instead of a wrong answer.
 Characteristic polynomials use Faddeev-LeVerrier, again on the cleared
 matrix, with the coefficients rescaled afterwards.
@@ -21,7 +24,7 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .polys import Polynomial
-from .scalars import GaussianRational, Rational, ZERO, as_scalar
+from .scalars import GaussianRational, ONE, Rational, ZERO, as_scalar
 
 __all__ = [
     "Matrix",
@@ -314,53 +317,69 @@ def _bareiss_det(R: List[List[int]], I: List[List[int]], n: int):
     return (dr, di) if sign > 0 else (-dr, -di)
 
 
-def _ffgj(R: List[List[int]], I: List[List[int]], n: int) -> int:
-    """Fraction-free Gauss-Jordan on an n-row grid with extra columns.
+def _ffgj(R: List[List[int]], I: List[List[int]], limit: int) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer grids, in place.
 
-    On return the left n x n block equals p * identity where p is the
-    final pivot (the determinant times the returned row-swap sign), and
-    the remaining columns carry p times the solution of the corresponding
-    linear systems.  Raises SingularMatrixError when the rank is short.
+    Columns 0 .. limit-1 are scanned left to right and may hold a pivot;
+    a column with no nonzero entry below the settled rows is skipped.
+    Columns from limit on are only carried along, as for [M | I].
+    Returns the pivot columns and the sign of the row permutation.
+
+    On return, settled row t holds the final pivot p at column pivots[t],
+    zero at every other pivot column, and p times the reduced row-echelon
+    form everywhere else; the rows below them are zero in every column
+    before limit.  Every division is exact by the Sylvester identity and
+    checked by _divc.
     """
-    m = len(R[0])
+    nr = len(R)
+    m = len(R[0]) if nr else 0
     sign = 1
     pr, pi = 1, 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if R[i][k] or I[i][k]), None)
+    pivots: List[int] = []
+    free: List[int] = []
+    for c in range(limit):
+        k = len(pivots)
+        piv = next((i for i in range(k, nr) if R[i][c] or I[i][c]), None)
         if piv is None:
-            raise SingularMatrixError(k)
+            free.append(c)
+            continue
         if piv != k:
             R[k], R[piv] = R[piv], R[k]
             I[k], I[piv] = I[piv], I[k]
             sign = -sign
         rkR, rkI = R[k], I[k]
-        cr, ci = rkR[k], rkI[k]
-        for i in range(n):
+        cr, ci = rkR[c], rkI[c]
+        # skipped columns left of c are not settled: the rows above k carry
+        # entries there, so they are updated with everything right of c
+        cols = free + list(range(c + 1, m))
+        for i in range(nr):
             if i == k:
                 continue
             riR, riI = R[i], I[i]
-            fr, fi = riR[k], riI[k]
+            fr, fi = riR[c], riI[c]
             if fr or fi:
-                for j in range(k + 1, m):
+                for j in cols:
                     ar, ai = riR[j], riI[j]
                     br, bi = rkR[j], rkI[j]
                     tr = cr * ar - ci * ai - fr * br + fi * bi
                     ti = cr * ai + ci * ar - fr * bi - fi * br
                     riR[j], riI[j] = _divc(tr, ti, pr, pi)
             else:
-                for j in range(k + 1, m):
+                for j in cols:
                     ar, ai = riR[j], riI[j]
                     if ar or ai:
                         tr = cr * ar - ci * ai
                         ti = cr * ai + ci * ar
                         riR[j], riI[j] = _divc(tr, ti, pr, pi)
             if i < k:
-                # settled diagonal rescales from the old pivot to the new
-                riR[i], riI[i] = cr, ci
-            riR[k] = 0
-            riI[k] = 0
+                # settled pivot rescales from the old pivot to the new
+                pc = pivots[i]
+                riR[pc], riI[pc] = cr, ci
+            riR[c] = 0
+            riI[c] = 0
+        pivots.append(c)
         pr, pi = cr, ci
-    return sign
+    return pivots, sign
 
 
 def determinant(m: Matrix) -> GaussianRational:
@@ -390,7 +409,9 @@ def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
     for i in range(n):
         R[i].extend(1 if j == i else 0 for j in range(n))
         I[i].extend(0 for _ in range(n))
-    sign = _ffgj(R, I, n)
+    pivots, sign = _ffgj(R, I, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(min(set(range(n)).difference(pivots)))
     pr, pi = sign * R[0][0] if n else 1, sign * I[0][0] if n else 0
     det_scale = Rational(1, den) ** n
     det = GaussianRational(pr * det_scale, pi * det_scale)
@@ -517,34 +538,33 @@ def hermitian_psd_check(m: Matrix) -> PsdVerdict:
 
 
 def nullspace(m: Matrix) -> List[List[GaussianRational]]:
-    """Exact basis of the right nullspace via Gauss-Jordan over the field."""
-    rows = [list(r) for r in m.to_rows()]
-    nr, nc = m.rows, m.cols
-    pivots: List[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = GaussianRational(1, 0) / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
+    """Exact basis of the right nullspace, one vector per free column.
+
+    Runs the fraction-free Gauss-Jordan kernel over all columns of the
+    denominator-cleared matrix.  The vector for free column f has a 1 at
+    f, zeros at the other free columns, and minus the reduced row-echelon
+    entry at each pivot column, read off the integer grid with a single
+    division by the final pivot.
+    """
+    nc = m.cols
+    R, I, _ = _int_grids(m)
+    pivots, _ = _ffgj(R, I, nc)
+    pr, pi = (R[0][pivots[0]], I[0][pivots[0]]) if pivots else (1, 0)
+    # 1/p = (sr + si*i) / den, so each entry costs one exact division
+    sr, si, den = (pr, -pi, pr * pr + pi * pi) if pi else (1, 0, pr)
+    taken = set(pivots)
     basis = []
-    one = GaussianRational(1, 0)
-    for fc in free:
+    for fc in range(nc):
+        if fc in taken:
+            continue
         v = [ZERO] * nc
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        v[fc] = ONE
+        for t, pc in enumerate(pivots):
+            ar, ai = R[t][fc], I[t][fc]
+            if ar or ai:
+                v[pc] = GaussianRational(
+                    Rational(ai * si - ar * sr, den), Rational(-ar * si - ai * sr, den)
+                )
         basis.append(v)
     return basis
 

@@ -46,7 +46,7 @@ from .circuits import (
     classical_table,
 )
 from .errors import ContractViolationError, ResourceLimitError
-from .exact.matrices import Matrix, nullspace
+from .exact.matrices import Matrix, hermitian_psd_check, nullspace
 from .exact.scalars import GaussianRational, Rational, ONE, ZERO
 from .fixpoint import (
     DEFAULT_DIM_CAP,
@@ -331,9 +331,10 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
         raise ValueError(f"chain dimension {dim} is not a power of two")
     g = nx.DiGraph()
     g.add_nodes_from(range(dim))
+    entries = chain.matrix.entries
     for j in range(dim):
-        for i in range(dim):
-            if chain.matrix.entry(i, j).re > 0:
+        for i, e in enumerate(entries[j::dim]):
+            if e.re:  # validated above: a nonzero entry is positive
                 g.add_edge(j, i)
     cond = nx.condensation(g)
     terminal = [c for c in cond.nodes if cond.out_degree(c) == 0]
@@ -502,9 +503,10 @@ def quantum_decide(
     acceptance probability is exact.  Because every fixed point is the
     image of some seed under the projector, the acceptance probabilities
     over all fixed points form the numerical range of the acceptance
-    operator on density matrices, which is exactly [lambda_min,
-    lambda_max]; those eigenvalues are evaluated in floats with a small
-    documented slack.
+    operator H on density matrices, which is exactly [lambda_min,
+    lambda_max].  The thresholds are checked exactly: accept needs
+    H - (2/3)I to be positive semidefinite, reject needs (1/3)I - H to be.
+    The eigenvalues are evaluated in floats only for the reported range.
     """
     if program.kind != "quantum":
         raise ValueError("quantum_decide needs a quantum program")
@@ -524,9 +526,12 @@ def quantum_decide(
             f"canonical acceptance probability {pf} escapes the numeric "
             f"range [{lo}, {hi}]"
         )
-    if p_acc >= ACCEPT_THRESHOLD and lo >= float(ACCEPT_THRESHOLD) - RANGE_SLACK:
+    # p_acc is H[0][0], so each p_acc test is a necessary condition that
+    # skips the exact check when it fails
+    eye = Matrix.identity(n)
+    if p_acc >= ACCEPT_THRESHOLD and hermitian_psd_check(h - eye.scale(ACCEPT_THRESHOLD)):
         decision = "accept"
-    elif p_acc <= REJECT_THRESHOLD and hi <= float(REJECT_THRESHOLD) + RANGE_SLACK:
+    elif p_acc <= REJECT_THRESHOLD and hermitian_psd_check(eye.scale(REJECT_THRESHOLD) - h):
         decision = "reject"
     else:
         decision = "ambiguous"

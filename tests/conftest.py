@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately re-derive results through different algorithms
-than the package (cofactor determinants, per-input circuit evaluation,
-walk-based cycle detection) so agreement actually means something.
+than the package (cofactor determinants, Gauss-Jordan over the field,
+per-input circuit evaluation, walk-based cycle detection) so agreement
+actually means something.
 """
 
 import random
@@ -141,6 +142,48 @@ def cofactor_det(rows: List[List[GaussianRational]]) -> GaussianRational:
         term = e * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def field_rref(m: Matrix) -> Tuple[List[List[GaussianRational]], List[int]]:
+    """Reduced row-echelon form by Gauss-Jordan over the field, with the
+    pivot columns; every row operation is a plain rational division."""
+    rows = [list(r) for r in m.to_rows()]
+    nr, nc = m.rows, m.cols
+    pivots: List[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = GaussianRational(1, 0) / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def field_nullspace(m: Matrix) -> List[List[GaussianRational]]:
+    """Nullspace basis read off the field RREF: for each free column f,
+    v[f] = 1, zero at the other free columns, minus the RREF entry at each
+    pivot column."""
+    rows, pivots = field_rref(m)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * m.cols
+        v[fc] = GaussianRational(1, 0)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(v)
+    return basis
 
 
 def eval_classical_input(circuit: ClassicalCircuit, x: int) -> int:

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from ctcsim.circuits import CTCProgram
-from ctcsim.cli import main
+from ctcsim.cli import EXIT_INTERNAL, main, run_cli
 from ctcsim.dsl import program_to_text
+from ctcsim.exact.matrices import _KernelBug
 from ctcsim.exact.scalars import rational_from_text, scalar_from_text
 from ctcsim.gallery import QUANTUM_DEMOS
 from ctcsim.semantics import gadget_np_search
@@ -150,6 +151,17 @@ def test_decide_json_is_deterministic(tmp_path, capsys):
 
 
 # -- fixpoint ----------------------------------------------------------------
+
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(m):
+        raise _KernelBug("inexact division in fraction-free elimination")
+
+    monkeypatch.setattr("ctcsim.semantics.nullspace", broken)
+    code = run_cli(["decide", write(tmp_path, DOUBLY_STOCHASTIC)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL == 6
+    assert err.startswith("internal error: inexact division")
+
 
 def test_fixpoint_quantum_exact_matrix(tmp_path, capsys):
     code, doc, err = run_json(capsys, ["fixpoint", write(tmp_path, GRANDFATHER)])

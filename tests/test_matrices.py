@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det
+from conftest import cofactor_det, field_nullspace, field_rref, random_quantum_program
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
@@ -17,6 +17,7 @@ from ctcsim.exact.matrices import (
 )
 from ctcsim.exact.polys import Polynomial
 from ctcsim.exact.scalars import GaussianRational, Rational
+from ctcsim.superop import program_to_natural
 
 entry = st.tuples(
     st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3)
@@ -30,6 +31,20 @@ def square(n):
 
 
 square_any = st.integers(1, 4).flatmap(square)
+
+
+@st.composite
+def low_rank_product(draw, rows=st.integers(1, 9), cols=st.integers(1, 9)):
+    """B @ C with inner dimension 0-5, so the rank is usually short.  C has
+    entries in {-1, 0, 1}, so a dependent column often comes before an
+    independent one; B is real in about half of the draws."""
+    r, c, k = draw(rows), draw(cols), draw(st.integers(0, 5))
+    real = draw(st.booleans())
+    b = draw(st.lists(entry, min_size=r * k, max_size=r * k))
+    d = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=k * c, max_size=k * c))
+    if real:
+        b = [GaussianRational(e.re) for e in b]
+    return Matrix(r, k, b) @ Matrix(k, c, d)
 
 
 @given(square_any)
@@ -68,8 +83,22 @@ def test_inverse_round_trip(m):
 
 def test_singular_reports_step():
     m = Matrix.from_rows([[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError) as info:
         exact_inverse(m)
+    assert info.value.step == 1
+
+
+@given(st.integers(1, 6).flatmap(lambda n: low_rank_product(st.just(n), st.just(n))))
+def test_singular_step_is_first_column_without_pivot(m):
+    _, pivots = field_rref(m)
+    missing = [c for c in range(m.cols) if c not in pivots]
+    try:
+        det, adj = det_and_adjugate(m)
+    except SingularMatrixError as exc:
+        assert exc.step == missing[0]
+        return
+    assert not missing
+    assert m @ adj == Matrix.identity(m.rows).scale(det)
 
 
 @given(square_any)
@@ -106,6 +135,22 @@ def test_nullspace_vectors_are_annihilated(m):
     for v in basis:
         out = m @ Matrix(n, 1, v)
         assert all(out.entry(i, 0).is_zero() for i in range(n))
+
+
+# column 1 is free and left of the pivot in column 2, whose value 3 differs
+# from the pivot before it, so the free column must be rescaled
+@example(Matrix.from_rows([[1, 2, 0], [0, 0, 3], [1, 2, 1]]))
+@given(low_rank_product())
+def test_nullspace_matches_field_oracle_on_low_rank_products(m):
+    assert nullspace(m) == field_nullspace(m)
+
+
+@given(st.integers(0, 100_000))
+def test_nullspace_matches_field_oracle_on_channels(seed):
+    k = program_to_natural(random_quantum_program(random.Random(seed))).k_matrix
+    eye = Matrix.identity(k.rows)
+    for m in (k - eye, k.dagger() - eye):
+        assert nullspace(m) == field_nullspace(m)
 
 
 def test_nullspace_known_projector():

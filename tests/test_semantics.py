@@ -351,6 +351,29 @@ def test_dephase_is_ambiguous_across_fixed_points():
     assert abs(lo - 0.0) < 1e-9 and abs(hi - 1.0) < 1e-9
 
 
+# cos = 1244791/2156041, sin = 1760400/2156041: sin^2 = 2/3 - 7.9e-8
+NEAR_THRESHOLD = (
+    "quantum\n"
+    "registers ctc=1 cr=2\n"
+    "defgate B = [0, 1, 0, 0; 1, 0, 0, 0; 0, 0, 1244791/2156041, -1760400/2156041; "
+    "0, 0, 1760400/2156041, 1244791/2156041]\n"
+    "apply CNOT ctc[0], cr[0]\n"
+    "apply B ctc[0], cr[1]\n"
+    "output cr[1]\n"
+)
+
+
+def test_threshold_is_decided_exactly():
+    # the consistent state |1><1| accepts with probability just below 2/3,
+    # which a float eigenvalue with slack would round up to accept
+    v = quantum_decide(parse_program(NEAR_THRESHOLD))
+    assert v.decision == "ambiguous"
+    assert v.certified
+    assert v.exact_accept_probability == 1
+    lo, hi = v.probability_range
+    assert 2 / 3 - 1e-6 < lo < 2 / 3 and hi == 1.0
+
+
 def test_acceptance_operator_grandfather_is_half_identity():
     prog = quantum_demo("grandfather")
     proj = fixed_point_projector(program_to_natural(prog))
