@@ -2,10 +2,15 @@
 
 A program's CTC register must be fed a state the program maps back to
 itself.  This package finds those states exactly: rational circuit
-elaboration, an interpolated resolvent whose z -> 0 limit projects onto
-the fixed space of the induced channel, cycle and stationary analysis for
-classical and stochastic programs, and accept/reject/ambiguous verdicts
-under the all-consistent-states rule.
+elaboration, a projector onto the fixed space of the induced channel,
+cycle and stationary analysis for classical and stochastic programs, and
+accept/reject/ambiguous verdicts under the all-consistent-states rule.
+
+The projector is built from the right and left kernels V, W of K - I as
+R = V (W^dagger V)^(-1) W^dagger.  Eigenvalue 1 of a channel is
+semisimple, so this is the same matrix as the paper's resolvent limit
+lim_{z -> 0} z (I - (1 - z) K)^(-1); symbolic_resolvent and
+projector_limit compute that limit literally and are kept as the oracle.
 """
 
 from .errors import ContractViolationError, ResourceLimitError

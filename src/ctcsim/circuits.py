@@ -21,6 +21,7 @@ the dsl module and enforced again by the operations that rely on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError
@@ -155,6 +156,19 @@ class QuantumCircuit:
     def total_qubits(self) -> int:
         return self.ctc_qubits + self.cr_qubits
 
+    @cached_property
+    def _unitary(self) -> Matrix:
+        """Built once per circuit; read through circuit_unitary, which
+        checks the qubit cap first."""
+        n = self.total_qubits
+        dim = 1 << n
+        rows: List[List[GaussianRational]] = [
+            [ONE if i == j else ZERO for j in range(dim)] for i in range(dim)
+        ]
+        for app in self.gates:
+            rows = _apply_gate(rows, n, app)
+        return Matrix(dim, dim, (e for row in rows for e in row))
+
 
 Wire = Tuple[str, int]  # bank "ctc" | "cr" | "tmp", index
 
@@ -250,6 +264,10 @@ class StochasticMatrix:
 
     def column_defects(self) -> List[str]:
         """Human-readable stochasticity violations, empty when valid."""
+        return list(self._defects)
+
+    @cached_property
+    def _defects(self) -> Tuple[str, ...]:
         out = []
         dim, entries = self.dim, self.matrix.entries
         for j in range(dim):
@@ -265,7 +283,7 @@ class StochasticMatrix:
                     total += e.re
             if total != 1:
                 out.append(f"column {j} sums to {total}, not 1")
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -346,21 +364,17 @@ def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = DEFAULT_QUBIT_CAP
     """Exact full-space unitary of the circuit, gates applied in order.
 
     The result dimension is 2**(q+r); a cap guards against runaway sizes
-    since the matrix is dense and exact.
+    since the matrix is dense and exact.  The matrix is built on the first
+    call and kept on the (frozen) circuit, so the several layers of one
+    decision share it.
     """
     n = circuit.total_qubits
     if n > max_qubits:
         raise ResourceLimitError(
-            f"circuit on {n} qubits would need a {1 << n}x{1 << n} exact "
+            f"circuit on {n} qubits would need a 2^{n}x2^{n} exact "
             f"matrix (cap is {max_qubits} qubits)"
         )
-    dim = 1 << n
-    rows: List[List[GaussianRational]] = [
-        [ONE if i == j else ZERO for j in range(dim)] for i in range(dim)
-    ]
-    for app in circuit.gates:
-        rows = _apply_gate(rows, n, app)
-    return Matrix(dim, dim, (e for row in rows for e in row))
+    return circuit._unitary
 
 
 def _apply_gate(rows, n, app: GateApplication):

@@ -29,7 +29,6 @@ from .exact.scalars import Rational, rational_from_text, scalar_to_text
 from .fixpoint import (
     cesaro_oracle,
     compute_fixed_point,
-    fixed_point_projector,
     to_complex_array,
 )
 from .gallery import demo_source, machine_source
@@ -43,12 +42,13 @@ from .semantics import (
     gadget_np_search,
     gadget_pspace,
     parse_machine,
+    program_projector,
     quantum_decide,
     stationary_distribution,
     stochastic_decide,
 )
 from .circuits import FunctionTable, StochasticMatrix
-from .superop import DensityMatrix, program_to_natural
+from .superop import DensityMatrix
 
 __all__ = ["main", "run_cli"]
 
@@ -201,9 +201,8 @@ def _cmd_fixpoint(args) -> int:
     data: Dict = {"program": _program_summary(program), "seed": args.seed}
     lines: List[str]
     if program.kind == "quantum":
-        phi = program_to_natural(program)
-        proj = fixed_point_projector(phi, allow_large=args.allow_large)
-        rho = compute_fixed_point(proj, _seed_state(args.seed, phi.input_dim))
+        proj = program_projector(program, allow_large=args.allow_large)
+        rho = compute_fixed_point(proj, _seed_state(args.seed, proj.source.input_dim))
         em.stage("compute")
         data["fixed_point"] = _matrix_text(rho.matrix)
         data["fixed_point_approx"] = _matrix_approx(rho.matrix)
@@ -395,8 +394,8 @@ def _cmd_oracle(args) -> int:
         return code
     if program.kind != "quantum":
         raise ValueError("the iteration oracle applies to quantum programs only")
-    phi = program_to_natural(program)
-    proj = fixed_point_projector(phi, allow_large=args.allow_large)
+    proj = program_projector(program, allow_large=args.allow_large)
+    phi = proj.source
     seed = DensityMatrix.basis_state(phi.input_dim, 0)
     rho = compute_fixed_point(proj, seed)
     approx = cesaro_oracle(phi, seed, args.steps)

@@ -196,6 +196,8 @@ def scalar_from_text(text: str) -> GaussianRational:
     literals and b may be omitted when it is 1 ("i", "-i", "1/2+i").
     """
     s = text.strip()
+    if s == "0":  # most cells of a sparse matrix literal
+        return ZERO
     s = re.sub(r" (?=i$)", "", s)
     if not s:
         raise ValueError("empty scalar literal")

@@ -1,20 +1,33 @@
-"""Exact fixed points of a channel via a one-parameter resolvent limit.
+"""Exact fixed points of a channel via the kernel pair of K - I.
 
-For a channel with natural matrix M, the damped resolvent
+The paper's route to a fixed point of a channel with natural matrix K is
+the damped resolvent
 
-    R_z = z * (I - (1 - z) * M)^(-1)
+    R_z = z * (I - (1 - z) * K)^(-1),
 
-is entrywise a ratio of polynomials in z, and its limit as z drops to 0
-is a projector R onto the fixed space of M.  Applying R to any vectorized
-density matrix and renormalizing by nothing at all (the limit is already
-trace-correct) produces an exact fixed point of the channel.
+whose limit as z drops to 0 is a projector R onto the fixed space of K.
+For a channel, eigenvalue 1 is semisimple (the iterates K^t stay
+bounded), so that limit is the spectral projector onto ker(K - I) along
+range(K - I): every other eigenvalue lambda contributes z / (1 - (1 - z)
+lambda) -> 0.  The same projector has a closed form.  With V a basis of
+the right kernel of K - I and W a basis of the left kernel (the right
+kernel of K^dagger - I),
 
-The whole computation stays in rational arithmetic: the determinant and
-adjugate of I - (1 - z) * M are sampled at integer values of z and
-interpolated to exact polynomials, and the limit is read off the lowest
-nonzero coefficients.  No eigendecomposition, no floating point, no
-assumption that M is diagonalizable.
+    R = V (W^dagger V)^(-1) W^dagger,
 
+and W^dagger V is invertible exactly when eigenvalue 1 is semisimple.
+fixed_point_projector builds R this way from two exact nullspaces and one
+small inverse, and certifies it with K V = V, W^dagger K = W^dagger and
+det(W^dagger V) != 0, which together give R^2 = R, K R = R K = R and
+R V = V without any n x n x n product.
+
+The paper-faithful route stays as the oracle the tests compare against:
+symbolic_resolvent samples det and adjugate of I - (1 - z) K at integer z
+and interpolates exact polynomials, and projector_limit reads the limit
+off their lowest nonzero coefficients.  Neither runs in a decision.
+
+The whole computation stays in rational arithmetic: no eigendecomposition,
+no floating point, no assumption that K is diagonalizable.
 cesaro_oracle is the one deliberate exception: a float-precision running
 average of channel iterates, used only to cross-check the exact path.
 """
@@ -46,6 +59,7 @@ __all__ = [
     "FixedPointProjector",
     "symbolic_resolvent",
     "projector_limit",
+    "check_dim_cap",
     "fixed_point_projector",
     "compute_fixed_point",
     "verify_fixed_point",
@@ -158,41 +172,64 @@ def projector_limit(s: SymbolicResolvent) -> FixedPointProjector:
     return FixedPointProjector(r, Superoperator(side, s.source_matrix))
 
 
+def check_dim_cap(
+    n: int, max_dim: int = DEFAULT_DIM_CAP, allow_large: bool = False
+) -> None:
+    """Refuse an n x n channel representation above the cap.
+
+    allow_large lifts the cap from max_dim to LARGE_DIM_CAP.
+    """
+    if n > max_dim and not (allow_large and n <= LARGE_DIM_CAP):
+        raise ResourceLimitError(
+            f"channel representation is {n}x{n}, above the cap of "
+            f"{max_dim}x{max_dim}; pass allow_large=True to go up to "
+            f"{LARGE_DIM_CAP}x{LARGE_DIM_CAP}"
+        )
+
+
 def fixed_point_projector(
     phi: Superoperator,
     max_dim: int = DEFAULT_DIM_CAP,
     allow_large: bool = False,
 ) -> FixedPointProjector:
-    """Full pipeline with every projector invariant verified exactly.
+    """Fixed-space projector R = V (W^dagger V)^(-1) W^dagger, certified.
 
-    Idempotence, absorption on both sides, trace preservation, and
-    complete positivity of the limit are all checked before returning;
-    any failure means the input was not CPTP (or a kernel bug) and
-    raises a contract violation.
+    V and W come from the exact right and left kernels of K - I.  Before
+    returning, K V = V and W^dagger K = W^dagger are checked exactly and
+    W^dagger V must be invertible, which makes R an idempotent that K
+    absorbs on both sides; R must also be trace-preserving and completely
+    positive.  Any failure means the input was not CPTP (or a kernel bug)
+    and raises a contract violation.
     """
-    n = phi.k_matrix.rows
+    k = phi.k_matrix
+    n = k.rows
+    check_dim_cap(n, max_dim, allow_large)
     if n > max_dim:
-        if allow_large and n <= LARGE_DIM_CAP:
-            warnings.warn(
-                f"computing an exact {n}x{n} resolvent; this can take minutes "
-                f"to hours",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            raise ResourceLimitError(
-                f"channel representation is {n}x{n}, above the cap of "
-                f"{max_dim}x{max_dim}; pass allow_large=True to go up to "
-                f"{LARGE_DIM_CAP}x{LARGE_DIM_CAP}"
-            )
-    proj = projector_limit(symbolic_resolvent(phi.k_matrix))
-    r, k = proj.r_matrix, phi.k_matrix
-    if r @ r != r:
-        raise ContractViolationError("fixed-point projector is not idempotent")
-    if k @ r != r or r @ k != r:
-        raise ContractViolationError(
-            "channel does not absorb its fixed-point projector; input was not CPTP"
+        warnings.warn(
+            f"computing an exact {n}x{n} fixed-point projector; at 256x256 "
+            f"this takes several seconds",
+            RuntimeWarning,
+            stacklevel=2,
         )
+    eye = Matrix.identity(n)
+    v = _columns(nullspace(k - eye), n)
+    wd = _columns(nullspace(k.dagger() - eye), n).dagger()
+    # rank(A) = rank(A^dagger), so only a kernel bug can split the sizes
+    if wd.rows != v.cols:
+        raise ContractViolationError(
+            f"right and left fixed spaces differ in dimension ({v.cols} vs "
+            f"{wd.rows})"
+        )
+    if k @ v != v or wd @ k != wd:
+        raise ContractViolationError("kernel basis is not fixed by the channel")
+    try:
+        det, adj = det_and_adjugate(wd @ v)
+    except SingularMatrixError:
+        raise ContractViolationError(
+            "eigenvalue 1 is not semisimple (W^dagger V is singular); the "
+            "source matrix cannot represent a channel"
+        ) from None
+    r = v @ (adj.scale(ONE / det) @ wd)
     rs = Superoperator(phi.input_dim, r)
     if not rs.is_trace_preserving():
         raise ContractViolationError("fixed-point projector is not trace-preserving")
@@ -202,6 +239,11 @@ def fixed_point_projector(
             f"fixed-point projector is not completely positive ({verdict.reason})"
         )
     return FixedPointProjector(r, phi)
+
+
+def _columns(vectors: List[List[GaussianRational]], n: int) -> Matrix:
+    """The n x len(vectors) matrix with the given vectors as columns."""
+    return Matrix(n, len(vectors), (v[i] for i in range(n) for v in vectors))
 
 
 def compute_fixed_point(proj: FixedPointProjector, sigma: DensityMatrix) -> DensityMatrix:
@@ -260,8 +302,8 @@ def cesaro_oracle(phi: Superoperator, sigma: DensityMatrix, t: int) -> np.ndarra
 def fixed_space_basis(phi: Superoperator) -> List[Matrix]:
     """Basis of the whole fixed space of the channel, as matrices.
 
-    Solved by exact Gaussian elimination on (K - I) v = 0; independent of
-    the resolvent route, which is what makes it useful as an oracle.
+    Solved by exact Gaussian elimination on (K - I) v = 0, the same
+    right kernel that fixed_point_projector takes V from.
     """
     n = phi.input_dim
     k = phi.k_matrix - Matrix.identity(n * n)

@@ -51,6 +51,7 @@ from .exact.scalars import GaussianRational, Rational, ONE, ZERO
 from .fixpoint import (
     DEFAULT_DIM_CAP,
     FixedPointProjector,
+    check_dim_cap,
     compute_fixed_point,
     fixed_point_projector,
     to_complex_array,
@@ -73,6 +74,7 @@ __all__ = [
     "stochastic_decide",
     "accept_probability",
     "acceptance_operator",
+    "program_projector",
     "quantum_decide",
     "gadget_np_search",
     "parse_machine",
@@ -492,6 +494,24 @@ def acceptance_operator(program: CTCProgram, proj: FixedPointProjector) -> Matri
     return h
 
 
+def program_projector(
+    program: CTCProgram,
+    max_dim: int = DEFAULT_DIM_CAP,
+    allow_large: bool = False,
+) -> FixedPointProjector:
+    """Certified fixed-point projector of a quantum program's channel.
+
+    The size cap is checked on the number of looped qubits first, so an
+    oversized program is refused before its natural matrix, with 16**q
+    entries, is built.  The channel is the projector's source.
+    """
+    q = program.circuit.ctc_qubits
+    if q <= DEFAULT_QUBIT_CAP:  # past it, circuit_unitary refuses at once
+        check_dim_cap(1 << (2 * q), max_dim, allow_large)
+    phi = program_to_natural(program)
+    return fixed_point_projector(phi, max_dim=max_dim, allow_large=allow_large)
+
+
 def quantum_decide(
     program: CTCProgram,
     max_dim: int = DEFAULT_DIM_CAP,
@@ -512,9 +532,8 @@ def quantum_decide(
         raise ValueError("quantum_decide needs a quantum program")
     if program.output_bit is None:
         raise ValueError("program has no designated output bit")
-    phi = program_to_natural(program)
-    proj = fixed_point_projector(phi, max_dim=max_dim, allow_large=allow_large)
-    n = phi.input_dim
+    proj = program_projector(program, max_dim=max_dim, allow_large=allow_large)
+    n = proj.source.input_dim
     rho = compute_fixed_point(proj, DensityMatrix.basis_state(n, 0))
     p_acc = accept_probability(program, rho)
     h = acceptance_operator(program, proj)

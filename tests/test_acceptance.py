@@ -21,6 +21,8 @@ from ctcsim.fixpoint import (
     compute_fixed_point,
     fixed_point_projector,
     fixed_space_basis,
+    projector_limit,
+    symbolic_resolvent,
     to_complex_array,
     verify_fixed_point,
 )
@@ -92,6 +94,8 @@ def test_criterion_02_projector_identities():
     t0 = time.perf_counter()
     for prog, phi, proj in corpus():
         r, k = proj.r_matrix, phi.k_matrix
+        # the kernel-pair projector is the paper's resolvent limit
+        assert r == projector_limit(symbolic_resolvent(k)).r_matrix
         assert r @ r == r
         assert k @ r == r
         assert r @ k == r
@@ -100,8 +104,9 @@ def test_criterion_02_projector_identities():
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(
-        f"criterion 2: PASS - R^2 = R, KR = RK = R, trace preservation, and "
-        f"Choi PSD exact on 50 random programs ({elapsed:.1f}s < 120s)"
+        f"criterion 2: PASS - R equals the resolvent limit, R^2 = R, KR = RK = "
+        f"R, trace preservation, and Choi PSD exact on 50 random programs "
+        f"({elapsed:.1f}s < 120s)"
     )
 
 

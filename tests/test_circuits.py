@@ -106,6 +106,16 @@ def test_unitary_qubit_cap():
     circuit = QuantumCircuit(5, 4, (), ())
     with pytest.raises(ResourceLimitError):
         circuit_unitary(circuit, max_qubits=8)
+    # the cap is checked before any matrix is built
+    assert "_unitary" not in circuit.__dict__
+
+
+def test_unitary_is_built_once_per_circuit():
+    prog = random_quantum_program(random.Random(7), q=2, r=1)
+    u = circuit_unitary(prog.circuit)
+    assert circuit_unitary(prog.circuit) is u
+    with pytest.raises(ResourceLimitError):
+        circuit_unitary(prog.circuit, max_qubits=2)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2))
@@ -166,6 +176,14 @@ def test_stochastic_matrix_column_defects():
     assert good.column_defects() == []
     short = StochasticMatrix(2, Matrix.from_rows([[half, 1], [half, half]]))
     assert any("column 1" in d for d in short.column_defects())
+
+
+def test_stochastic_matrix_defects_are_computed_once():
+    m = StochasticMatrix(2, Matrix.from_rows([[2, 0], [-1, 1]]))
+    first = m.column_defects()
+    assert "_defects" in m.__dict__
+    first.clear()  # each caller gets its own list, never the cached tuple
+    assert m.column_defects() == list(m.__dict__["_defects"]) != []
 
 
 def test_stochastic_matrix_flags_negative():

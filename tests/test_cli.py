@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -320,3 +322,96 @@ def test_oracle_quantum_only(tmp_path, capsys):
     )
     assert code == 3
     assert "quantum programs only" in err
+
+
+# -- robustness ----------------------------------------------------------------
+
+FIVE_LOOPED = """quantum
+registers ctc=5 cr=1
+apply X ctc[0]
+apply CNOT ctc[0], cr[0]
+output cr[0]
+"""
+
+
+@pytest.mark.parametrize(
+    "command", [["decide"], ["fixpoint"], ["oracle", "--steps", "10"]]
+)
+def test_cap_is_checked_before_the_natural_matrix(tmp_path, capsys, monkeypatch, command):
+    # q = 5 would need a 1024x1024 natural matrix; it must not be built
+    def refuse(program, max_qubits=8):
+        raise AssertionError("natural matrix built for an oversized program")
+
+    monkeypatch.setattr("ctcsim.semantics.program_to_natural", refuse)
+    path = write(tmp_path, FIVE_LOOPED)
+    code, out, err = run(capsys, command + [path, "--allow-large"])
+    assert code == 5
+    assert "1024x1024" in err
+
+
+def test_huge_register_is_refused_without_work(tmp_path, capsys):
+    text = FIVE_LOOPED.replace("ctc=5", "ctc=" + "9" * 30)
+    code, out, err = run(capsys, ["decide", write(tmp_path, text)])
+    assert code == 5
+    assert "cap is 8 qubits" in err
+
+
+def _fuzz_cases(count: int, seed: int):
+    """Single-character and single-line mutations of shipped sources."""
+    sources = list(QUANTUM_DEMOS.values()) + [
+        program_to_text(gadget_np_search(2, [False, False, True, False])),
+        DOUBLY_STOCHASTIC,
+    ]
+    alphabet = sorted(set("".join(sources)) | set("9/-*[];i\n "))
+    all_lines = [ln for src in sources for ln in src.splitlines(keepends=True)]
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        text = rng.choice(sources)
+        roll = rng.random()
+        if roll < 0.2:
+            # a digit for a digit: register sizes, wires, matrix entries
+            pos = rng.choice([k for k, c in enumerate(text) if c.isdigit()])
+            text = text[:pos] + rng.choice("0123456789") + text[pos + 1:]
+        elif roll < 0.6:
+            pos = rng.randrange(len(text))
+            op = rng.choice(["replace", "insert", "delete"])
+            ch = rng.choice(alphabet)
+            if op == "replace":
+                text = text[:pos] + ch + text[pos + 1:]
+            elif op == "insert":
+                text = text[:pos] + ch + text[pos:]
+            else:
+                text = text[:pos] + text[pos + 1:]
+        else:
+            lines = text.splitlines(keepends=True)
+            i = rng.randrange(len(lines))
+            op = rng.choice(["delete", "duplicate", "swap", "foreign"])
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "swap":
+                j = rng.randrange(len(lines))
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines[i] = rng.choice(all_lines)
+            text = "".join(lines)
+        cases.append(text)
+    return cases
+
+
+def test_mutated_sources_exit_with_documented_codes(tmp_path, capsys):
+    t0 = time.perf_counter()
+    seen = set()
+    for n, text in enumerate(_fuzz_cases(200, seed=2669)):
+        path = write(tmp_path, text, f"m{n}.ctc")
+        for command in ("validate", "decide"):
+            code = run_cli([command, path])
+            err = capsys.readouterr().err
+            assert code in {0, 1, 2, 3, 4, 5}, (command, text, err)
+            seen.add(code)
+    # the mutations reach past the parser: verdicts, semantic errors and
+    # oversized registers occur
+    assert {0, 1, 2, 3, 4, 5} <= seen
+    assert time.perf_counter() - t0 < 15.0

@@ -110,6 +110,47 @@ def test_divergent_resolvent_is_a_contract_violation():
         projector_limit(s)
 
 
+def test_jordan_block_is_rejected_by_the_kernel_pair():
+    # right kernel {e0, e2, e3}, left kernel {e1, e2, e3}: W^dagger V is
+    # singular, so eigenvalue 1 is not semisimple
+    j = Matrix.from_rows(
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    with pytest.raises(ContractViolationError, match="semisimple"):
+        fixed_point_projector(Superoperator(2, j))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_unfixed_kernel_vector_fails_the_certificate(monkeypatch, side):
+    """A kernel basis that K does not fix must raise, not yield a wrong R."""
+    import ctcsim.fixpoint as fixpoint
+
+    calls = []
+    real = fixpoint.nullspace
+
+    def corrupted(m):
+        basis = real(m)
+        if len(calls) == side:
+            basis[0] = [GaussianRational(1)] + [GaussianRational(0)] * (m.cols - 1)
+        calls.append(m)
+        return basis
+
+    monkeypatch.setattr(fixpoint, "nullspace", corrupted)
+    # grandfather: K swaps |0><0| and |1><1|, so e0 is fixed from neither side
+    with pytest.raises(ContractViolationError, match="not fixed by the channel"):
+        fixed_point_projector(channel_of("grandfather"))
+    assert len(calls) == 2
+
+
+@given(st.integers(0, 100_000))
+def test_kernel_pair_matches_resolvent_limit(seed):
+    """The production projector equals the paper's z -> 0 resolvent limit."""
+    rng = random.Random(seed)
+    k = program_to_natural(random_quantum_program(rng, q=1)).k_matrix
+    proj = fixed_point_projector(Superoperator(2, k))
+    assert proj.r_matrix == projector_limit(symbolic_resolvent(k)).r_matrix
+
+
 def test_projector_limit_needs_square_dimension():
     m = Matrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="perfect square"):
@@ -130,7 +171,7 @@ def test_dimension_cap():
 
 def test_allow_large_warns_and_computes():
     small = Superoperator(4, Matrix.identity(16))
-    with pytest.warns(RuntimeWarning, match="minutes"):
+    with pytest.warns(RuntimeWarning, match="several seconds"):
         proj = fixed_point_projector(small, max_dim=8, allow_large=True)
     assert proj.r_matrix == Matrix.identity(16)
 
@@ -175,7 +216,7 @@ def test_fixed_space_basis_elements_are_fixed(seed):
 
 @given(st.integers(0, 100_000))
 def test_projector_fixes_what_the_nullspace_finds(seed):
-    """Completeness cross-check between the two independent routes."""
+    """R fixes every vector of the fixed space (R V = V)."""
     rng = random.Random(seed)
     phi = program_to_natural(random_quantum_program(rng, q=1))
     proj = fixed_point_projector(phi)

@@ -44,9 +44,14 @@ def test_scalar_text_examples():
 
 
 def test_scalar_text_rejects_garbage():
-    for bad in ["", "1..2", "i1", "1//2", "+-3", "1/0"]:
+    for bad in ["", "1..2", "i1", "1//2", "+-3", "1/0", "0/0"]:
         with pytest.raises(ValueError):
             scalar_from_text(bad)
+
+
+def test_zero_spellings_parse_to_zero():
+    for text in ["0", " 0 ", "-0", "+0", "00", "0/1", "0i"]:
+        assert scalar_from_text(text) == ZERO, text
 
 
 @given(rationals)

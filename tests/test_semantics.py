@@ -252,6 +252,10 @@ def test_stationary_rejects_bad_chains():
     short = StochasticMatrix(2, Matrix.from_rows([[HALF, 0], [HALF, HALF]]))
     with pytest.raises(ValueError):
         stationary_distribution(short)
+    # the defects are cached on the chain; a second call still refuses it
+    assert short.column_defects()
+    with pytest.raises(ValueError, match="not column-stochastic"):
+        stationary_distribution(short)
     odd = StochasticMatrix(3, Matrix.identity(3))
     with pytest.raises(ValueError):
         stationary_distribution(odd)
