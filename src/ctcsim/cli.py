@@ -19,8 +19,6 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .circuits import CTCProgram, classical_table
 from .dsl import ParseError, parse_program, validate_program
 from .errors import ContractViolationError, ResourceLimitError
@@ -399,6 +397,8 @@ def _cmd_oracle(args) -> int:
     seed = DensityMatrix.basis_state(phi.input_dim, 0)
     rho = compute_fixed_point(proj, seed)
     approx = cesaro_oracle(phi, seed, args.steps)
+    import numpy as np  # float diagnostics only; kept off the import path
+
     deviation = float(np.max(np.abs(approx - to_complex_array(rho.matrix))))
     em.stage("compute")
     data = {

@@ -145,6 +145,11 @@ def _parse_wire(token: str, line: int, raw: str, banks: Tuple[str, ...]) -> Wire
     return (m.group(1), int(m.group(2)))
 
 
+def _pow2_text(p: int) -> str:
+    """2^p in decimal while that is short, else as the power itself."""
+    return str(1 << p) if p < 64 else f"2^{p}"
+
+
 def _check_wire_bounds(w: Wire, q: int, r: int, line: int, raw: str, token: str):
     bank, idx = w
     limit = {"ctc": q, "cr": r}.get(bank)
@@ -309,11 +314,17 @@ def _parse_classical(rd: _Reader, p: int, qc: int) -> CTCProgram:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     table: Optional[FunctionTable] = None
     if table_seen:
-        missing = [x for x in range(1 << total) if x not in table_rows]
-        if missing:
+        # the rows are distinct inputs below 2^total, so fewer than 2^total
+        # of them leaves a gap among the first len(table_rows) + 1 inputs
+        have = len(table_rows)
+        if have.bit_length() <= total:
+            first = next(x for x in range(have + 1) if x not in table_rows)
+            # each row spells total bits, so only an empty table may have
+            # a width too large to print
+            shown = format(first, f"0{total}b") if have else "the all-zeros input"
             raise ParseError(
-                f"table is missing {len(missing)} of {1 << total} inputs "
-                f"(first missing: {format(missing[0], f'0{total}b')})",
+                f"table is missing inputs: it has {have} of {_pow2_text(total)} rows "
+                f"(first missing: {shown})",
                 rd.items[-1][0] if rd.items else 1,
             )
         table = FunctionTable(total, tuple(table_rows[x] for x in range(1 << total)))
@@ -344,9 +355,11 @@ def _parse_stochastic(rd: _Reader, p: int, r: int) -> CTCProgram:
             if matrix is not None:
                 raise ParseError("matrix is already defined", line, _col(raw, key))
             matrix = _parse_matrix_literal(m.group(1), line, raw)
-            if matrix.rows != matrix.cols or matrix.rows != 1 << p:
+            rows = matrix.rows
+            # rows == 2^p, without building 2^p for a huge declared p
+            if rows != matrix.cols or rows.bit_length() != p + 1 or rows & (rows - 1):
                 raise ParseError(
-                    f"matrix must be {1 << p}x{1 << p} for ctc={p}, got "
+                    f"matrix must be {_pow2_text(p)}x{_pow2_text(p)} for ctc={p}, got "
                     f"{matrix.rows}x{matrix.cols}",
                     line,
                     _col(raw, "["),
@@ -414,19 +427,24 @@ def _validate_quantum(circuit: QuantumCircuit, violations: List[str]):
 
 
 def _validate_classical(circuit: ClassicalCircuit, violations: List[str]):
-    defined = {("ctc", i) for i in range(circuit.ctc_bits)}
-    defined |= {("cr", j) for j in range(circuit.cr_bits)}
+    # ctc and cr wires are checked against their register sizes; only tmp
+    # wires need a record of which ones an assignment has written
+    size = {"ctc": circuit.ctc_bits, "cr": circuit.cr_bits}
+    written_tmp = set()
     for a in circuit.assignments:
-        for w in a.inputs:
-            if w[0] == "tmp" and w not in defined:
-                violations.append(
-                    f"{a.op} reads tmp[{w[1]}] before any assignment writes it"
-                )
-            elif w[0] != "tmp" and w not in defined:
-                violations.append(f"{a.op} reads out-of-range wire {w[0]}[{w[1]}]")
-        if a.out[0] != "tmp" and a.out not in defined:
-            violations.append(f"{a.op} writes out-of-range wire {a.out[0]}[{a.out[1]}]")
-        defined.add(a.out)
+        for bank, idx in a.inputs:
+            if bank == "tmp":
+                if idx not in written_tmp:
+                    violations.append(
+                        f"{a.op} reads tmp[{idx}] before any assignment writes it"
+                    )
+            elif not 0 <= idx < size[bank]:
+                violations.append(f"{a.op} reads out-of-range wire {bank}[{idx}]")
+        bank, idx = a.out
+        if bank == "tmp":
+            written_tmp.add(idx)
+        elif not 0 <= idx < size[bank]:
+            violations.append(f"{a.op} writes out-of-range wire {bank}[{idx}]")
     if circuit.table is not None and circuit.assignments:
         elaborated = ClassicalCircuit(
             circuit.ctc_bits, circuit.cr_bits, circuit.assignments, None

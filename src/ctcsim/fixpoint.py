@@ -37,9 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import (
@@ -53,6 +51,9 @@ from .exact.matrices import (
 from .exact.polys import Polynomial, lagrange_interpolate
 from .exact.scalars import GaussianRational, ONE, ZERO
 from .superop import DensityMatrix, Superoperator, choi_matrix, unvec, vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SymbolicResolvent",
@@ -276,6 +277,8 @@ def verify_fixed_point(phi: Superoperator, rho: DensityMatrix) -> bool:
 
 def to_complex_array(m: Matrix) -> np.ndarray:
     """Float snapshot of an exact matrix, for numerical cross-checks only."""
+    import numpy as np  # float diagnostics only; kept off the import path
+
     return np.array(
         [[complex(e.re, e.im) for e in row] for row in m.to_rows()], dtype=complex
     )
@@ -289,6 +292,8 @@ def cesaro_oracle(phi: Superoperator, sigma: DensityMatrix, t: int) -> np.ndarra
     """
     if t < 1:
         raise ValueError("need at least one term")
+    import numpy as np  # float diagnostics only; kept off the import path
+
     n = phi.input_dim
     k = to_complex_array(phi.k_matrix)
     cur = to_complex_array(vec(sigma.matrix)).reshape(n * n)

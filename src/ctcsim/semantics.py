@@ -10,9 +10,15 @@ distributions are exactly the mixtures of uniform-on-cycle distributions,
 so the all-states quantifier is certified by enumerating cycles.
 Stochastic programs induce a column-stochastic chain; the consistent set
 is the convex hull of the per-recurrent-class stationary distributions.
+The recurrent classes are the terminal strongly connected components of
+the chain's support graph, found by terminal_classes, an iterative Tarjan
+search.
 Quantum programs go through the exact fixed-point projector, with the
 range of acceptance probabilities over the whole fixed space read off the
-eigenvalues of an exact Hermitian acceptance operator.
+eigenvalues of an exact Hermitian acceptance operator.  Those float
+eigenvalues, like every other float diagnostic, come from numpy, which is
+imported inside the functions that use it: a classical or stochastic
+decision never loads it.
 
 Verdicts use the 2/3 versus 1/3 acceptance thresholds, with `ambiguous`
 as a first-class outcome whenever different consistent states disagree.
@@ -30,9 +36,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
-import numpy as np
 
 from .circuits import (
     ClassicalCircuit,
@@ -56,7 +59,7 @@ from .fixpoint import (
     fixed_point_projector,
     to_complex_array,
 )
-from .superop import DensityMatrix, program_to_natural, unvec, vec
+from .superop import DensityMatrix, Superoperator, program_to_natural, unvec, vec
 
 __all__ = [
     "ClassicalDistribution",
@@ -70,6 +73,7 @@ __all__ = [
     "off_cycle_mass",
     "table_to_stochastic",
     "classical_decide",
+    "terminal_classes",
     "stationary_distribution",
     "stochastic_decide",
     "accept_probability",
@@ -315,6 +319,57 @@ def classical_decide(
 
 # -- stochastic -----------------------------------------------------------
 
+def terminal_classes(succ: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Terminal strongly connected components of a directed graph.
+
+    succ[v] lists the successors of node v.  A component is terminal when
+    no edge leaves it; for the support graph of a chain these are the
+    recurrent classes.  Tarjan's algorithm with an explicit stack, so deep
+    graphs do not hit the recursion limit.  It closes a component only
+    after every component reachable from it, so whether an edge leaves
+    can be read off the component labels already assigned.  Returns the
+    member lists sorted, each sorted.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    stack: List[int] = []
+    classes = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]  # w is still on the stack
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                members = []
+                while not members or members[-1] != v:
+                    members.append(stack.pop())
+                    label[members[-1]] = v
+                if all(label[w] == v for m in members for w in succ[m]):
+                    classes.append(sorted(members))
+    return sorted(classes)
+
+
 def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
     """Every stationary distribution of a finite chain, exactly.
 
@@ -331,16 +386,13 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
     bits = dim.bit_length() - 1
     if 1 << bits != dim:
         raise ValueError(f"chain dimension {dim} is not a power of two")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(dim))
     entries = chain.matrix.entries
-    for j in range(dim):
-        for i, e in enumerate(entries[j::dim]):
-            if e.re:  # validated above: a nonzero entry is positive
-                g.add_edge(j, i)
-    cond = nx.condensation(g)
-    terminal = [c for c in cond.nodes if cond.out_degree(c) == 0]
-    member_lists = sorted(sorted(cond.nodes[c]["members"]) for c in terminal)
+    # column j holds the moves out of state j; validated above, so a
+    # nonzero entry is positive
+    succ = [
+        [i for i, e in enumerate(entries[j::dim]) if e.re] for j in range(dim)
+    ]
+    member_lists = terminal_classes(succ)
     per_class = []
     for members in member_lists:
         k = len(members)
@@ -537,6 +589,8 @@ def quantum_decide(
     rho = compute_fixed_point(proj, DensityMatrix.basis_state(n, 0))
     p_acc = accept_probability(program, rho)
     h = acceptance_operator(program, proj)
+    import numpy as np  # float diagnostics only; kept off the import path
+
     evals = np.linalg.eigvalsh(to_complex_array(h))
     lo, hi = float(evals[0]), float(evals[-1])
     pf = float(p_acc)
@@ -825,11 +879,11 @@ def epsilon_fixed_point_check(channel, state, eps) -> EpsilonReport:
             float_distance=float(d),
             exact_upper_bound=None,
         )
-    from .superop import Superoperator  # local to avoid import fuss at module top
-
     if isinstance(channel, Superoperator) and isinstance(state, DensityMatrix):
         if channel.input_dim != state.dim:
             raise ValueError("dimension mismatch")
+        import numpy as np  # float diagnostics only; kept off the import path
+
         delta = state.matrix - channel.apply_matrix(state.matrix)
         sv = np.linalg.svd(to_complex_array(delta), compute_uv=False)
         fd = float(np.sum(sv)) / 2.0

@@ -225,3 +225,54 @@ def walk_cyclic_nodes(table: FunctionTable) -> frozenset:
                 cyclic.add(y)
                 break
     return frozenset(cyclic)
+
+
+def brute_terminal_classes(succ: List[List[int]]) -> List[List[int]]:
+    """x is recurrent exactly when every state reachable from x reaches x
+    back; the class of a recurrent x is everything it reaches."""
+    reach = []
+    for x in range(len(succ)):
+        seen = {x}
+        todo = [x]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    classes = {
+        frozenset(reach[x])
+        for x in range(len(succ))
+        if all(x in reach[y] for y in reach[x])
+    }
+    return sorted(sorted(c) for c in classes)
+
+
+def random_class_graph(rng: random.Random, classes: int, transient: int) -> List[List[int]]:
+    """Successor lists with the given number of closed classes (each a
+    self-loop or a cycle with extra internal edges) and transient states
+    that may loop among themselves but always have a way out, relabelled
+    at random."""
+    succ: List[List[int]] = []
+    members: List[int] = []
+    for _ in range(classes):
+        size = rng.randint(1, 4)
+        base = len(succ)
+        for k in range(size):
+            nxt = {base + (k + 1) % size}
+            nxt |= {base + rng.randrange(size) for _ in range(rng.randint(0, 2))}
+            succ.append(sorted(nxt))
+        members.extend(range(base, base + size))
+    for t in range(transient):
+        v = len(succ)
+        # one edge towards a class or an earlier transient state, so every
+        # transient state drains into a class; later edges may go anywhere
+        nxt = {rng.choice(members + list(range(len(members), v)))}
+        nxt |= {rng.randrange(len(members) + transient) for _ in range(rng.randint(0, 2))}
+        succ.append(sorted(nxt))
+    perm = list(range(len(succ)))
+    rng.shuffle(perm)
+    relabelled: List[List[int]] = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        relabelled[perm[v]] = sorted(perm[w] for w in ws)
+    return relabelled

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +419,52 @@ def test_mutated_sources_exit_with_documented_codes(tmp_path, capsys):
     # oversized registers occur
     assert {0, 1, 2, 3, 4, 5} <= seen
     assert time.perf_counter() - t0 < 15.0
+
+
+# decides a classical and a stochastic program in a fresh interpreter and
+# prints which of the float and graph libraries got loaded on the way
+NO_FLOAT_LIBS_PROBE = """
+import contextlib, io, sys, tempfile
+from pathlib import Path
+import ctcsim.cli
+from ctcsim.dsl import program_to_text
+from ctcsim.exact.scalars import Rational
+from ctcsim.gallery import MACHINE_DEMOS
+from ctcsim.semantics import gadget_narrow_np, gadget_pspace, parse_machine
+
+def loaded():
+    return sorted(m for m in ("numpy", "networkx") if m in sys.modules)
+
+print("import", loaded())
+programs = {
+    "classical": gadget_pspace(parse_machine(MACHINE_DEMOS["accept"])),
+    "stochastic": gadget_narrow_np(3, [False] * 7 + [True], Rational(1, 1000)),
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for kind, program in programs.items():
+        path = Path(tmp) / (kind + ".ctc")
+        path.write_text(program_to_text(program))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ctcsim.cli.run_cli(["decide", str(path), "--json"])
+        print(kind, code, loaded())
+"""
+
+
+def test_exact_decisions_load_neither_numpy_nor_networkx():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_FLOAT_LIBS_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["import []", "classical 0 []", "stochastic 0 []"]
+
+
+def test_huge_classical_register_is_refused_fast(tmp_path, capsys):
+    text = "classical\nregisters ctc=1000000000 cr=1\ncopy cr[0] <- ctc[0]\noutput cr[0]\n"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["decide", write(tmp_path, text)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 5
+    assert "exceeds the cap of 20" in err

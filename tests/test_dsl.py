@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_classical_circuit, random_quantum_program, random_table
 from ctcsim.circuits import (
+    ClassicalAssignment,
     ClassicalCircuit,
     CTCProgram,
     FunctionTable,
@@ -165,6 +167,18 @@ def test_error_missing_table_rows():
     assert "01" in err.reason
 
 
+def test_incomplete_table_on_wide_registers_fails_fast():
+    # 2^40 inputs: the gap must be found without listing them
+    text = f"classical\nregisters ctc=40 cr=0\ntable\n{'0' * 40} -> {'0' * 40}\n"
+    t0 = time.perf_counter()
+    err = expect_error(text, 4, fragment="it has 1 of 1099511627776 rows")
+    assert time.perf_counter() - t0 < 1.0
+    assert f"first missing: {'0' * 39}1" in err.reason
+    empty = "classical\nregisters ctc=100000000 cr=0\ntable\n"
+    err = expect_error(empty, 3, fragment="it has 0 of 2^100000000 rows")
+    assert "all-zeros input" in err.reason
+
+
 def test_error_table_row_width():
     text = "classical\nregisters ctc=2 cr=0\ntable\n000 -> 001\n"
     expect_error(text, 4, fragment="bits on both sides")
@@ -183,6 +197,12 @@ def test_error_stochastic_needs_matrix():
 def test_error_stochastic_matrix_dim():
     text = "stochastic\nregisters ctc=2 cr=1\nmatrix = [1, 0; 0, 1]\n"
     expect_error(text, 3, fragment="4x4")
+
+
+def test_error_stochastic_matrix_dim_on_huge_register():
+    text = "stochastic\nregisters ctc=100000000 cr=1\nmatrix = [1]\n"
+    err = expect_error(text, 3, fragment="must be 2^100000000x2^100000000 for ctc=100000000")
+    assert "got 1x1" in err.reason
 
 
 def test_error_bad_output_pattern():
@@ -228,6 +248,25 @@ def test_validate_tmp_read_before_write():
     )
     report = validate_program(parse_program(text))
     assert any("before any assignment" in v for v in report.violations)
+
+
+def test_validate_reports_every_out_of_range_wire():
+    # the parser refuses these wires, so build the circuit directly
+    circuit = ClassicalCircuit(
+        1,
+        1,
+        (
+            ClassicalAssignment("copy", ("ctc", 3), (("cr", 5),)),
+            ClassicalAssignment("not", ("tmp", 0), (("ctc", 3),)),
+        ),
+        None,
+    )
+    report = validate_program(CTCProgram("classical", circuit, 0))
+    assert report.violations == (
+        "copy reads out-of-range wire cr[5]",
+        "copy writes out-of-range wire ctc[3]",
+        "not reads out-of-range wire ctc[3]",
+    )
 
 
 def test_validate_gates_vs_table_disagreement():

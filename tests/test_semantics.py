@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_table, walk_cyclic_nodes
+from conftest import (
+    brute_terminal_classes,
+    random_class_graph,
+    random_table,
+    walk_cyclic_nodes,
+)
 from ctcsim.circuits import (
     ClassicalCircuit,
     CTCProgram,
@@ -38,6 +43,7 @@ from ctcsim.semantics import (
     parse_machine,
     quantum_decide,
     stationary_distribution,
+    terminal_classes,
     stochastic_decide,
     table_to_stochastic,
 )
@@ -195,6 +201,33 @@ def test_classical_decide_uncertified_above_limit():
 
 
 # -- stationary distributions -------------------------------------------------
+
+@given(st.integers(0, 100_000), st.integers(1, 4), st.integers(0, 6))
+def test_terminal_classes_match_reachability_oracle(seed, classes, transient):
+    succ = random_class_graph(random.Random(seed), classes, transient)
+    found = terminal_classes(succ)
+    assert found == brute_terminal_classes(succ)
+    assert len(found) == classes
+
+
+@given(st.integers(0, 100_000), st.integers(1, 12))
+def test_terminal_classes_on_arbitrary_graphs(seed, n):
+    # any out-degree, including none and self-loops only
+    rng = random.Random(seed)
+    succ = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+    assert terminal_classes(succ) == brute_terminal_classes(succ)
+
+
+def test_terminal_classes_fixed_shapes():
+    # identity chain: every state is its own class
+    assert terminal_classes([[v] for v in range(5)]) == [[v] for v in range(5)]
+    # one cycle through everything
+    assert terminal_classes([[1], [2], [0]]) == [[0, 1, 2]]
+    # a path 20000 long drains into its last state, without recursion
+    n = 20_000
+    path = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+    assert terminal_classes(path) == [[n - 1]]
+
 
 def test_identity_chain_has_every_point_mass():
     chain = StochasticMatrix(2, Matrix.identity(2))
