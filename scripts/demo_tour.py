@@ -10,7 +10,7 @@ import sys
 
 from ctcsim.dsl import parse_program
 from ctcsim.exact.scalars import Rational
-from ctcsim.fixpoint import compute_fixed_point, fixed_point_projector, fixed_space_basis
+from ctcsim.fixpoint import compute_fixed_point, fixed_point_projector
 from ctcsim.gallery import MACHINE_DEMOS, QUANTUM_DEMOS
 from ctcsim.semantics import (
     classical_decide,
@@ -33,7 +33,7 @@ def tour_quantum() -> None:
             phi = program_to_natural(prog)
             proj = fixed_point_projector(phi)
             rho = compute_fixed_point(proj, DensityMatrix.basis_state(phi.input_dim, 0))
-            dim = len(fixed_space_basis(phi))
+            dim = proj.r_matrix.trace()  # R projects onto the fixed space
             print(
                 f"{name:>11}: no output; fixed space dimension {dim}, "
                 f"canonical state diag = "

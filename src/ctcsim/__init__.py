@@ -33,12 +33,9 @@ from .superop import (
     DensityMatrix,
     KrausCompletenessWarning,
     Superoperator,
-    apply_channel,
     choi_matrix,
     kraus_to_natural,
-    partial_trace,
     program_to_natural,
-    program_to_natural_dense,
     unvec,
     vec,
 )
@@ -48,7 +45,6 @@ from .fixpoint import (
     cesaro_oracle,
     compute_fixed_point,
     fixed_point_projector,
-    fixed_space_basis,
     projector_limit,
     symbolic_resolvent,
     verify_fixed_point,
@@ -100,12 +96,9 @@ __all__ = [
     "DensityMatrix",
     "KrausCompletenessWarning",
     "Superoperator",
-    "apply_channel",
     "choi_matrix",
     "kraus_to_natural",
-    "partial_trace",
     "program_to_natural",
-    "program_to_natural_dense",
     "unvec",
     "vec",
     "FixedPointProjector",
@@ -113,7 +106,6 @@ __all__ = [
     "cesaro_oracle",
     "compute_fixed_point",
     "fixed_point_projector",
-    "fixed_space_basis",
     "projector_limit",
     "symbolic_resolvent",
     "verify_fixed_point",

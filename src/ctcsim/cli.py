@@ -285,104 +285,116 @@ def _bitstring_set(text: str, n: int) -> List[bool]:
     return table
 
 
+def _verdict_demo(verdict: Verdict, data: Dict, extra: List[str]) -> Tuple[Dict, List[str], int]:
+    data.update(_verdict_payload(verdict))
+    return data, _verdict_lines(verdict) + extra, _DECISION_EXIT[verdict.decision]
+
+
+def _demo_grandfather(params: Dict[str, str], em: _Emitter):
+    program = parse_program(demo_source("grandfather"))
+    em.stage("parse")
+    verdict = quantum_decide(program)
+    em.stage("compute")
+    return _verdict_demo(verdict, {"program": _program_summary(program)}, [])
+
+
+def _demo_np_search(params: Dict[str, str], em: _Emitter):
+    n = int(params.get("n", "2"))
+    solutions = _bitstring_set(params.get("solutions", "10"), n)
+    program = gadget_np_search(n, solutions)
+    em.stage("parse")
+    verdict = classical_decide(program)
+    em.stage("compute")
+    support = [format(y, f"0{n}b") for y in verdict.witness.support()]
+    data = {
+        "n": n,
+        "solutions": [format(i, f"0{n}b") for i, s in enumerate(solutions) if s],
+        "support": support,
+    }
+    return _verdict_demo(
+        verdict, data, ["consistent support: " + (" ".join(support) or "(empty)")]
+    )
+
+
+def _demo_pspace(params: Dict[str, str], em: _Emitter):
+    machine = parse_machine(machine_source(params.get("machine", "accept")))
+    program = gadget_pspace(machine)
+    em.stage("parse")
+    verdict = classical_decide(program)
+    em.stage("compute")
+    run, answer = machine.canonical_run()
+    width = program.circuit.ctc_bits
+    data = {
+        "machine": params.get("machine", "accept"),
+        "run_length": len(run),
+        "halting_answer": answer,
+        "support": [format(y, f"0{width}b") for y in verdict.witness.support()],
+    }
+    return _verdict_demo(
+        verdict,
+        data,
+        [f"canonical run visits {len(run)} configurations; loop carries bit {answer}"],
+    )
+
+
+def _demo_narrow(params: Dict[str, str], em: _Emitter):
+    n = int(params.get("n", "4"))
+    eps = rational_from_text(params.get("eps", "1/1024"))
+    witnesses = _bitstring_set(params.get("witnesses", "0111"), n)
+    program = gadget_narrow_np(n, witnesses, eps)
+    em.stage("parse")
+    verdict = stochastic_decide(program)
+    em.stage("compute")
+    data = {
+        "n": n,
+        "eps": str(eps),
+        "witness_count": sum(witnesses),
+        "chain": _matrix_text(program.circuit.chain.matrix),
+    }
+    return _verdict_demo(verdict, data, [])
+
+
+def _demo_perturb(params: Dict[str, str], em: _Emitter):
+    eps = rational_from_text(params.get("eps", "1/100"))
+    one = Rational(1)
+    first = StochasticMatrix(2, Matrix.from_rows([[one, eps], [0, one - eps]]))
+    second = StochasticMatrix(2, Matrix.from_rows([[one - eps, 0], [eps, one]]))
+    pi1 = stationary_distribution(first).distribution
+    pi2 = stationary_distribution(second).distribution
+    cross1 = epsilon_fixed_point_check(second, pi1, eps)
+    cross2 = epsilon_fixed_point_check(first, pi2, eps)
+    em.stage("compute")
+    data = {
+        "eps": str(eps),
+        "first_stationary": [str(p) for p in pi1.probabilities],
+        "second_stationary": [str(p) for p in pi2.probabilities],
+        "cross_distances": [str(cross1.exact_distance), str(cross2.exact_distance)],
+        "within_eps": [cross1.ok, cross2.ok],
+    }
+    lines = [
+        f"first chain stationary: ({', '.join(data['first_stationary'])})",
+        f"second chain stationary: ({', '.join(data['second_stationary'])})",
+        f"each is an exact {eps}-fixed-point of the other chain: "
+        f"distances {data['cross_distances'][0]} and {data['cross_distances'][1]}",
+    ]
+    return data, lines, EXIT_OK
+
+
+# each demo stages its own timings and returns (data, lines, exit code)
+_DEMOS = {
+    "grandfather": _demo_grandfather,
+    "np-search": _demo_np_search,
+    "pspace": _demo_pspace,
+    "narrow": _demo_narrow,
+    "perturb": _demo_perturb,
+}
+
+
 def _cmd_demo(args) -> int:
     em = _Emitter(args.json)
-    params = _parse_params(args.param)
-    name = args.name
-    if name == "grandfather":
-        program = parse_program(demo_source("grandfather"))
-        em.stage("parse")
-        verdict = quantum_decide(program)
-        em.stage("compute")
-        data = {"demo": name, "program": _program_summary(program)}
-        data.update(_verdict_payload(verdict))
-        em.emit(data, _verdict_lines(verdict))
-        return _DECISION_EXIT[verdict.decision]
-    if name == "np-search":
-        n = int(params.get("n", "2"))
-        solutions = _bitstring_set(params.get("solutions", "10"), n)
-        program = gadget_np_search(n, solutions)
-        em.stage("parse")
-        verdict = classical_decide(program)
-        em.stage("compute")
-        data = {
-            "demo": name,
-            "n": n,
-            "solutions": [format(i, f"0{n}b") for i, s in enumerate(solutions) if s],
-            "support": [format(y, f"0{n}b") for y in verdict.witness.support()],
-        }
-        data.update(_verdict_payload(verdict))
-        lines = _verdict_lines(verdict) + [
-            "consistent support: " + (" ".join(data["support"]) or "(empty)")
-        ]
-        em.emit(data, lines)
-        return _DECISION_EXIT[verdict.decision]
-    if name == "pspace":
-        machine = parse_machine(machine_source(params.get("machine", "accept")))
-        program = gadget_pspace(machine)
-        em.stage("parse")
-        verdict = classical_decide(program)
-        em.stage("compute")
-        run, answer = machine.canonical_run()
-        width = program.circuit.ctc_bits
-        data = {
-            "demo": name,
-            "machine": params.get("machine", "accept"),
-            "run_length": len(run),
-            "halting_answer": answer,
-            "support": [format(y, f"0{width}b") for y in verdict.witness.support()],
-        }
-        data.update(_verdict_payload(verdict))
-        lines = _verdict_lines(verdict) + [
-            f"canonical run visits {len(run)} configurations; loop carries bit {answer}",
-        ]
-        em.emit(data, lines)
-        return _DECISION_EXIT[verdict.decision]
-    if name == "narrow":
-        n = int(params.get("n", "4"))
-        eps = rational_from_text(params.get("eps", "1/1024"))
-        witnesses = _bitstring_set(params.get("witnesses", "0111"), n)
-        program = gadget_narrow_np(n, witnesses, eps)
-        em.stage("parse")
-        verdict = stochastic_decide(program)
-        em.stage("compute")
-        data = {
-            "demo": name,
-            "n": n,
-            "eps": str(eps),
-            "witness_count": sum(witnesses),
-            "chain": _matrix_text(program.circuit.chain.matrix),
-        }
-        data.update(_verdict_payload(verdict))
-        em.emit(data, _verdict_lines(verdict))
-        return _DECISION_EXIT[verdict.decision]
-    if name == "perturb":
-        eps = rational_from_text(params.get("eps", "1/100"))
-        one = Rational(1)
-        first = StochasticMatrix(2, Matrix.from_rows([[one, eps], [0, one - eps]]))
-        second = StochasticMatrix(2, Matrix.from_rows([[one - eps, 0], [eps, one]]))
-        pi1 = stationary_distribution(first).distribution
-        pi2 = stationary_distribution(second).distribution
-        cross1 = epsilon_fixed_point_check(second, pi1, eps)
-        cross2 = epsilon_fixed_point_check(first, pi2, eps)
-        em.stage("compute")
-        data = {
-            "demo": name,
-            "eps": str(eps),
-            "first_stationary": [str(p) for p in pi1.probabilities],
-            "second_stationary": [str(p) for p in pi2.probabilities],
-            "cross_distances": [str(cross1.exact_distance), str(cross2.exact_distance)],
-            "within_eps": [cross1.ok, cross2.ok],
-        }
-        lines = [
-            f"first chain stationary: ({', '.join(data['first_stationary'])})",
-            f"second chain stationary: ({', '.join(data['second_stationary'])})",
-            f"each is an exact {eps}-fixed-point of the other chain: "
-            f"distances {data['cross_distances'][0]} and {data['cross_distances'][1]}",
-        ]
-        em.emit(data, lines)
-        return EXIT_OK
-    raise ValueError(f"unknown demo {name!r}")
+    data, lines, code = _DEMOS[args.name](_parse_params(args.param), em)
+    em.emit({"demo": args.name, **data}, lines)
+    return code
 
 
 def _cmd_oracle(args) -> int:
@@ -443,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("demo", help="run a built-in demonstration")
-    p.add_argument("name", choices=["grandfather", "np-search", "pspace", "narrow", "perturb"])
+    p.add_argument("name", choices=list(_DEMOS))
     p.add_argument("--param", action="append", default=[], metavar="K=V")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_demo)

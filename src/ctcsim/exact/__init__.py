@@ -18,8 +18,6 @@ from .matrices import (
     SingularMatrixError,
     char_poly,
     det_and_adjugate,
-    determinant,
-    exact_inverse,
     hermitian_psd_check,
     nullspace,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "SingularMatrixError",
     "char_poly",
     "det_and_adjugate",
-    "determinant",
-    "exact_inverse",
     "hermitian_psd_check",
     "nullspace",
 ]

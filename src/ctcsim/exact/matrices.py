@@ -3,9 +3,9 @@
 Representation: row-major tuple of GaussianRational entries.  Matrices are
 immutable; every operation returns a new matrix and equality is exact.
 
-Determinants, inverses, adjugates, and nullspaces run on a
-denominator-cleared copy of the matrix using fraction-free (Bareiss
-style) elimination over the Gaussian integers.  One Gauss-Jordan kernel
+Determinants, adjugates, and nullspaces run on a denominator-cleared
+copy of the matrix using fraction-free (Bareiss style) elimination over
+the Gaussian integers.  One Gauss-Jordan kernel
 serves both the adjugate, on [M | I] with pivots in the first n columns,
 and the nullspace, with pivots anywhere; results are rescaled to
 rationals once at the end.  Divisions inside the elimination are exact by
@@ -31,8 +31,6 @@ __all__ = [
     "PolyMatrix",
     "SingularMatrixError",
     "PsdVerdict",
-    "determinant",
-    "exact_inverse",
     "det_and_adjugate",
     "char_poly",
     "hermitian_psd_check",
@@ -41,7 +39,7 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an inverse is requested of a singular matrix.
+    """Raised when an adjugate is requested of a singular matrix.
 
     The step attribute records the elimination stage (0-indexed pivot
     column) at which rank deficiency was detected.
@@ -285,38 +283,6 @@ def _divc(tr, ti, dr, di):
     return qr, qi
 
 
-def _bareiss_det(R: List[List[int]], I: List[List[int]], n: int):
-    """Forward Bareiss elimination; returns the determinant as an int pair."""
-    if n == 0:
-        return 1, 0
-    sign = 1
-    pr, pi = 1, 0  # previous pivot
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if R[i][k] or I[i][k]), None)
-        if piv is None:
-            return 0, 0
-        if piv != k:
-            R[k], R[piv] = R[piv], R[k]
-            I[k], I[piv] = I[piv], I[k]
-            sign = -sign
-        rkR, rkI = R[k], I[k]
-        cr, ci = rkR[k], rkI[k]
-        for i in range(k + 1, n):
-            riR, riI = R[i], I[i]
-            fr, fi = riR[k], riI[k]
-            for j in range(k + 1, n):
-                ar, ai = riR[j], riI[j]
-                br, bi = rkR[j], rkI[j]
-                tr = cr * ar - ci * ai - fr * br + fi * bi
-                ti = cr * ai + ci * ar - fr * bi - fi * br
-                riR[j], riI[j] = _divc(tr, ti, pr, pi)
-            riR[k] = 0
-            riI[k] = 0
-        pr, pi = cr, ci
-    dr, di = R[n - 1][n - 1], I[n - 1][n - 1]
-    return (dr, di) if sign > 0 else (-dr, -di)
-
-
 def _ffgj(R: List[List[int]], I: List[List[int]], limit: int) -> Tuple[List[int], int]:
     """Fraction-free Gauss-Jordan (Bareiss 1968) on integer grids, in place.
 
@@ -382,25 +348,12 @@ def _ffgj(R: List[List[int]], I: List[List[int]], limit: int) -> Tuple[List[int]
     return pivots, sign
 
 
-def determinant(m: Matrix) -> GaussianRational:
-    """Exact determinant via fraction-free forward elimination."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return GaussianRational(1, 0)
-    R, I, den = _int_grids(m)
-    dr, di = _bareiss_det(R, I, n)
-    scale = Rational(1, den) ** n
-    return GaussianRational(dr * scale, di * scale)
-
-
 def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
     """Determinant and adjugate in one elimination pass.
 
     The adjugate satisfies m @ adj == det * identity even though it is
     computed from the inverse-style elimination, so the matrix must be
-    nonsingular here; determinant() alone handles the singular case.
+    nonsingular here: a singular one raises SingularMatrixError.
     """
     if not m.is_square:
         raise ValueError("adjugate of a non-square matrix")
@@ -427,13 +380,6 @@ def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
         ),
     )
     return det, adj
-
-
-def exact_inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError with the failing step."""
-    det, adj = det_and_adjugate(m)
-    inv_det = GaussianRational(1, 0) / det
-    return adj.scale(inv_det)
 
 
 def char_poly(m: Matrix) -> Polynomial:

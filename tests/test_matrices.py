@@ -4,19 +4,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, field_nullspace, field_rref, random_quantum_program
+from conftest import cofactor_det, field_nullspace, field_rref, inverse, random_quantum_program
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
     char_poly,
     det_and_adjugate,
-    determinant,
-    exact_inverse,
     hermitian_psd_check,
     nullspace,
 )
 from ctcsim.exact.polys import Polynomial
-from ctcsim.exact.scalars import GaussianRational, Rational
+from ctcsim.exact.scalars import ZERO, GaussianRational, Rational
 from ctcsim.superop import program_to_natural
 
 entry = st.tuples(
@@ -47,6 +45,14 @@ def low_rank_product(draw, rows=st.integers(1, 9), cols=st.integers(1, 9)):
     return Matrix(r, k, b) @ Matrix(k, c, d)
 
 
+def determinant(m: Matrix) -> GaussianRational:
+    """det_and_adjugate's determinant, zero where it reports a singular matrix."""
+    try:
+        return det_and_adjugate(m)[0]
+    except SingularMatrixError:
+        return ZERO
+
+
 @given(square_any)
 def test_determinant_matches_cofactor_oracle(m):
     assert determinant(m) == cofactor_det(m.to_rows())
@@ -63,7 +69,7 @@ def test_adjugate_identity(m):
     try:
         det, adj = det_and_adjugate(m)
     except SingularMatrixError:
-        assert determinant(m).is_zero()
+        assert cofactor_det(m.to_rows()).is_zero()
         return
     n = m.rows
     assert m @ adj == Matrix.identity(n).scale(det)
@@ -73,9 +79,9 @@ def test_adjugate_identity(m):
 @given(square_any)
 def test_inverse_round_trip(m):
     try:
-        inv = exact_inverse(m)
+        inv = inverse(m)
     except SingularMatrixError:
-        assert determinant(m).is_zero()
+        assert cofactor_det(m.to_rows()).is_zero()
         return
     assert m @ inv == Matrix.identity(m.rows)
     assert inv @ m == Matrix.identity(m.rows)
@@ -84,7 +90,7 @@ def test_inverse_round_trip(m):
 def test_singular_reports_step():
     m = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError) as info:
-        exact_inverse(m)
+        det_and_adjugate(m)
     assert info.value.step == 1
 
 
@@ -107,7 +113,7 @@ def test_char_poly_at_zero_is_det_of_negation(m):
     p = char_poly(m)
     assert p.degree == m.rows
     assert p.coeff(p.degree) == GaussianRational(1)
-    assert p.coeff(0) == determinant(-m)
+    assert p.coeff(0) == cofactor_det((-m).to_rows())
 
 
 @given(square_any)
@@ -128,7 +134,7 @@ def test_nullspace_vectors_are_annihilated(m):
     basis = nullspace(m)
     n = m.rows
     rank_defect = len(basis)
-    if determinant(m).is_zero():
+    if cofactor_det(m.to_rows()).is_zero():
         assert rank_defect >= 1
     else:
         assert rank_defect == 0
@@ -210,7 +216,7 @@ def test_large_random_inverse_stays_exact():
     ]
     m = Matrix(n, n, entries)
     try:
-        inv = exact_inverse(m)
+        inv = inverse(m)
     except SingularMatrixError:
         pytest.skip("random matrix happened to be singular")
     assert m @ inv == Matrix.identity(n)

@@ -5,9 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    acceptance_operator_by_definition,
     brute_terminal_classes,
+    dense_accept_operator,
+    off_cycle_mass,
     random_class_graph,
+    random_quantum_program,
+    random_rank_one_density,
     random_table,
+    table_to_stochastic,
     walk_cyclic_nodes,
 )
 from ctcsim.circuits import (
@@ -21,7 +27,7 @@ from ctcsim.dsl import parse_program
 from ctcsim.errors import ContractViolationError
 from ctcsim.exact.matrices import Matrix
 from ctcsim.exact.scalars import GaussianRational, Rational
-from ctcsim.fixpoint import fixed_point_projector, verify_fixed_point
+from ctcsim.fixpoint import compute_fixed_point, fixed_point_projector, verify_fixed_point
 from ctcsim.gallery import MACHINE_DEMOS, QUANTUM_DEMOS
 from ctcsim.semantics import (
     ACCEPT_THRESHOLD,
@@ -32,20 +38,18 @@ from ctcsim.semantics import (
     acceptance_operator,
     classical_decide,
     cycle_fixed_point,
-    cycle_support,
     enumerate_cycles,
     epsilon_fixed_point_check,
     gadget_narrow_np,
     gadget_np_conp,
     gadget_np_search,
     gadget_pspace,
-    off_cycle_mass,
     parse_machine,
     quantum_decide,
     stationary_distribution,
     terminal_classes,
     stochastic_decide,
-    table_to_stochastic,
+    _accept_operator,
 )
 from ctcsim.superop import DensityMatrix, program_to_natural
 
@@ -108,7 +112,7 @@ def test_enumerate_cycles_matches_walk_oracle(seed, bits):
 
 def test_off_cycle_mass_example():
     t = FunctionTable(2, (1, 2, 1, 0))  # cycle support {1, 2}
-    assert cycle_support(t) == frozenset({1, 2})
+    assert walk_cyclic_nodes(t) == frozenset({1, 2})
     uniform = ClassicalDistribution(2, (Rational(1, 4),) * 4)
     assert off_cycle_mass(t, uniform) == HALF
 
@@ -416,6 +420,34 @@ def test_acceptance_operator_grandfather_is_half_identity():
     proj = fixed_point_projector(program_to_natural(prog))
     h = acceptance_operator(prog, proj)
     assert h == Matrix.identity(2).scale(GaussianRational(HALF))
+
+
+def check_acceptance_routes(prog):
+    """The Kraus-family A and H equal the U^dagger P U oracle, and the
+    canonical acceptance probability is exactly H[0][0]."""
+    proj = fixed_point_projector(program_to_natural(prog))
+    a = dense_accept_operator(prog)
+    assert _accept_operator(prog) == a
+    h = acceptance_operator(prog, proj)
+    assert h == acceptance_operator_by_definition(a, proj.r_matrix)
+    n = proj.source.input_dim
+    rho = compute_fixed_point(proj, DensityMatrix.basis_state(n, 0))
+    assert accept_probability(prog, rho) == h.entry(0, 0)
+    sigma = random_rank_one_density(random.Random(n), n)
+    assert accept_probability(prog, sigma) == (a @ sigma.matrix).trace()
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, t in QUANTUM_DEMOS.items() if parse_program(t).output_bit is not None]
+)
+def test_acceptance_routes_agree_on_demos(name):
+    check_acceptance_routes(quantum_demo(name))
+
+
+@given(st.integers(0, 100_000))
+def test_acceptance_routes_agree_on_random_programs(seed):
+    rng = random.Random(seed)
+    check_acceptance_routes(random_quantum_program(rng, r=rng.randint(1, 2)))
 
 
 def test_accept_probability_on_basis_states():

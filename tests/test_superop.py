@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_quantum_program, random_rank_one_density
+from conftest import program_to_natural_dense, random_quantum_program, random_rank_one_density
 from ctcsim.dsl import parse_program
-from ctcsim.errors import ContractViolationError
 from ctcsim.exact.matrices import Matrix, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
 from ctcsim.fixpoint import to_complex_array
@@ -17,13 +16,10 @@ from ctcsim.superop import (
     DensityMatrix,
     KrausCompletenessWarning,
     Superoperator,
-    apply_channel,
     choi_matrix,
     induced_kraus,
     kraus_to_natural,
-    partial_trace,
     program_to_natural,
-    program_to_natural_dense,
     unvec,
     vec,
 )
@@ -149,51 +145,16 @@ def test_apply_channel_outputs_density_matrices(seed):
     prog = random_quantum_program(rng)
     s = program_to_natural(prog)
     rho = random_rank_one_density(rng, s.input_dim)
-    out = apply_channel(s, rho)
+    out = DensityMatrix(s.input_dim, s.apply_matrix(rho.matrix))
     assert out.matrix.trace() == GaussianRational(1)
-
-
-def test_apply_channel_rejects_non_cptp():
-    doubled = Superoperator(2, Matrix.identity(4).scale(2))
-    with pytest.raises(ContractViolationError):
-        apply_channel(doubled, DensityMatrix.maximally_mixed(2))
 
 
 def test_apply_channel_dimension_check():
     s = program_to_natural(parse_program(QUANTUM_DEMOS["grandfather"]))
     with pytest.raises(ValueError):
-        apply_channel(s, DensityMatrix.maximally_mixed(4))
-
-
-def test_partial_trace_of_product():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[5, 6], [7, 8]])
-    assert partial_trace(a.kron(b), 2) == a.scale(b.trace())
-
-
-def test_partial_trace_of_bell_state():
-    # (|00> + |11>)/sqrt(2): reduced state is maximally mixed
-    z = GaussianRational(0)
-    bell = Matrix.from_rows(
-        [[HALF, z, z, HALF], [z, z, z, z], [z, z, z, z], [HALF, z, z, HALF]]
-    )
-    assert partial_trace(bell, 2) == Matrix.identity(2).scale(HALF)
-
-
-def test_partial_trace_shape_checks():
-    with pytest.raises(ValueError):
-        partial_trace(Matrix.zeros(2, 3), 1)
-    with pytest.raises(ValueError):
-        partial_trace(Matrix.identity(6), 4)
+        s.apply_matrix(DensityMatrix.maximally_mixed(4).matrix)
 
 
 def test_superoperator_shape_check():
     with pytest.raises(ValueError):
         Superoperator(2, Matrix.identity(3))
-
-
-def test_dense_route_rejects_large_programs():
-    rng = random.Random(1)
-    prog = random_quantum_program(rng, q=2, r=2)
-    with pytest.raises(ValueError):
-        program_to_natural_dense(prog)
