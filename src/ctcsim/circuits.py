@@ -16,13 +16,15 @@ Three program kinds share the CTCProgram wrapper:
 Constructors check shape only.  Semantic properties (unitarity of custom
 gates, stochasticity, table totality) are reported by the validator in
 the dsl module and enforced again by the operations that rely on them.
+Elaboration refuses a circuit above the fixed caps: QUBIT_CAP qubits for
+the dense unitary, BIT_CAP bits for the function table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ResourceLimitError
 from .exact.matrices import Matrix
@@ -42,12 +44,13 @@ __all__ = [
     "CTCProgram",
     "circuit_unitary",
     "classical_table",
-    "DEFAULT_QUBIT_CAP",
-    "DEFAULT_BIT_CAP",
+    "QUBIT_CAP",
+    "BIT_CAP",
 ]
 
-DEFAULT_QUBIT_CAP = 8
-DEFAULT_BIT_CAP = 20
+# fixed caps, read at each call
+QUBIT_CAP = 8
+BIT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -210,12 +213,6 @@ class FunctionTable:
     def apply(self, x: int) -> int:
         return self.outputs[x]
 
-    def compose(self, other: "FunctionTable") -> "FunctionTable":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        if self.bits != other.bits:
-            raise ValueError("composing tables of different widths")
-        return FunctionTable(self.bits, tuple(self.outputs[v] for v in other.outputs))
-
 
 @dataclass(frozen=True)
 class ClassicalCircuit:
@@ -360,19 +357,19 @@ class CTCProgram:
 
 # -- elaboration ---------------------------------------------------------
 
-def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> Matrix:
+def circuit_unitary(circuit: QuantumCircuit) -> Matrix:
     """Exact full-space unitary of the circuit, gates applied in order.
 
-    The result dimension is 2**(q+r); a cap guards against runaway sizes
-    since the matrix is dense and exact.  The matrix is built on the first
-    call and kept on the (frozen) circuit, so the several layers of one
-    decision share it.
+    The result dimension is 2**(q+r); QUBIT_CAP guards against runaway
+    sizes since the matrix is dense and exact.  The matrix is built on the
+    first call and kept on the (frozen) circuit, so the several layers of
+    one decision share it.
     """
     n = circuit.total_qubits
-    if n > max_qubits:
+    if n > QUBIT_CAP:
         raise ResourceLimitError(
             f"circuit on {n} qubits would need a 2^{n}x2^{n} exact "
-            f"matrix (cap is {max_qubits} qubits)"
+            f"matrix (cap is {QUBIT_CAP} qubits)"
         )
     return circuit._unitary
 
@@ -452,20 +449,19 @@ def _eval_assignments(circuit: ClassicalCircuit, x: int) -> int:
     return out
 
 
-def classical_table(
-    circuit: ClassicalCircuit, bit_cap: int = DEFAULT_BIT_CAP
-) -> Tuple[FunctionTable, FunctionTable]:
+def classical_table(circuit: ClassicalCircuit) -> Tuple[FunctionTable, FunctionTable]:
     """Elaborate to the full table and the induced CTC-only table.
 
     The induced table fixes the causality-respecting input bits to zero
     and projects the output onto the CTC register.  When the circuit
-    carries an explicit table, that table is used directly.
+    carries an explicit table, that table is used directly.  Circuits on
+    more than BIT_CAP bits are refused.
     """
     p, qc = circuit.ctc_bits, circuit.cr_bits
     total = p + qc
-    if total > bit_cap:
+    if total > BIT_CAP:
         raise ResourceLimitError(
-            f"classical circuit on {total} bits exceeds the cap of {bit_cap}"
+            f"classical circuit on {total} bits exceeds the cap of {BIT_CAP}"
         )
     if circuit.table is not None:
         full = circuit.table

@@ -19,7 +19,7 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from .circuits import CTCProgram, classical_table
+from .circuits import CTCProgram, StochasticMatrix, classical_table
 from .dsl import ParseError, parse_program, validate_program
 from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import Matrix
@@ -45,7 +45,6 @@ from .semantics import (
     stationary_distribution,
     stochastic_decide,
 )
-from .circuits import FunctionTable, StochasticMatrix
 from .superop import DensityMatrix
 
 __all__ = ["main", "run_cli"]

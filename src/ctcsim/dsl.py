@@ -191,7 +191,7 @@ def parse_program(text: str) -> CTCProgram:
     return _parse_stochastic(rd, q, r)
 
 
-def _parse_output(rest: str, line: int, raw: str, r: int, kind: str) -> int:
+def _parse_output(rest: str, line: int, raw: str, r: int) -> int:
     token = rest.strip()
     w = _parse_wire(token, line, raw, ("cr",))
     if w[1] >= r:
@@ -250,7 +250,7 @@ def _parse_quantum(rd: _Reader, q: int, r: int) -> CTCProgram:
             except ValueError as exc:
                 raise ParseError(str(exc), line, _col(raw, name)) from None
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, r, "quantum")
+            output_bit = _parse_output(rest, line, raw, r)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     circuit = QuantumCircuit(q, r, tuple(order), tuple(apps))
@@ -309,7 +309,7 @@ def _parse_classical(rd: _Reader, p: int, qc: int) -> CTCProgram:
                     raise ParseError(f"duplicate table row for input {src}", tline, _col(traw, src))
                 table_rows[x] = int(dst, 2)
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, qc, "classical")
+            output_bit = _parse_output(rest, line, raw, qc)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     table: Optional[FunctionTable] = None
@@ -376,7 +376,7 @@ def _parse_stochastic(rd: _Reader, p: int, r: int) -> CTCProgram:
                     )
                 patterns.append(token)
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, r, "stochastic")
+            output_bit = _parse_output(rest, line, raw, r)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     if matrix is None:

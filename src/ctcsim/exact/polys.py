@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, Rational, ZERO, as_scalar
+from .scalars import GaussianRational, ZERO, as_scalar
 
 __all__ = ["Polynomial", "lagrange_interpolate"]
 

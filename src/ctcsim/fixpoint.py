@@ -49,7 +49,7 @@ from .exact.matrices import (
     nullspace,
 )
 from .exact.polys import Polynomial, lagrange_interpolate
-from .exact.scalars import GaussianRational, ONE, ZERO
+from .exact.scalars import GaussianRational, ONE
 from .superop import DensityMatrix, Superoperator, choi_matrix, unvec, vec
 
 if TYPE_CHECKING:
@@ -66,11 +66,12 @@ __all__ = [
     "verify_fixed_point",
     "cesaro_oracle",
     "to_complex_array",
-    "DEFAULT_DIM_CAP",
+    "DIM_CAP",
     "LARGE_DIM_CAP",
 ]
 
-DEFAULT_DIM_CAP = 64
+# fixed caps, read at each call
+DIM_CAP = 64
 LARGE_DIM_CAP = 256
 
 
@@ -169,26 +170,20 @@ def projector_limit(s: SymbolicResolvent) -> FixedPointProjector:
     return FixedPointProjector(r, Superoperator(side, s.source_matrix))
 
 
-def check_dim_cap(
-    n: int, max_dim: int = DEFAULT_DIM_CAP, allow_large: bool = False
-) -> None:
+def check_dim_cap(n: int, allow_large: bool = False) -> None:
     """Refuse an n x n channel representation above the cap.
 
-    allow_large lifts the cap from max_dim to LARGE_DIM_CAP.
+    allow_large lifts the cap from DIM_CAP to LARGE_DIM_CAP.
     """
-    if n > max_dim and not (allow_large and n <= LARGE_DIM_CAP):
+    if n > DIM_CAP and not (allow_large and n <= LARGE_DIM_CAP):
         raise ResourceLimitError(
             f"channel representation is {n}x{n}, above the cap of "
-            f"{max_dim}x{max_dim}; pass allow_large=True to go up to "
+            f"{DIM_CAP}x{DIM_CAP}; pass allow_large=True to go up to "
             f"{LARGE_DIM_CAP}x{LARGE_DIM_CAP}"
         )
 
 
-def fixed_point_projector(
-    phi: Superoperator,
-    max_dim: int = DEFAULT_DIM_CAP,
-    allow_large: bool = False,
-) -> FixedPointProjector:
+def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> FixedPointProjector:
     """Fixed-space projector R = V (W^dagger V)^(-1) W^dagger, certified.
 
     V and W come from the exact right and left kernels of K - I.  Before
@@ -200,8 +195,8 @@ def fixed_point_projector(
     """
     k = phi.k_matrix
     n = k.rows
-    check_dim_cap(n, max_dim, allow_large)
-    if n > max_dim:
+    check_dim_cap(n, allow_large)
+    if n > DIM_CAP:
         warnings.warn(
             f"computing an exact {n}x{n} fixed-point projector; at 256x256 "
             f"this takes several seconds",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["QUANTUM_DEMOS", "demo_source"]
+__all__ = ["QUANTUM_DEMOS", "MACHINE_DEMOS", "demo_source", "machine_source"]
 
 QUANTUM_DEMOS: Dict[str, str] = {
     # flip the looped qubit, then read it: no classical assignment works,

@@ -7,7 +7,7 @@ and reading the designated output bit.
 
 Classical programs induce a function on the CTC bit strings; consistent
 distributions are exactly the mixtures of uniform-on-cycle distributions,
-so the all-states quantifier is certified by enumerating cycles.
+so the all-states quantifier is checked by enumerating every cycle.
 Stochastic programs induce a column-stochastic chain; the consistent set
 is the convex hull of the per-recurrent-class stationary distributions.
 The recurrent classes are the terminal strongly connected components of
@@ -20,8 +20,11 @@ eigenvalues, like every other float diagnostic, come from numpy, which is
 imported inside the functions that use it: a classical or stochastic
 decision never loads it.
 
-Verdicts use the 2/3 versus 1/3 acceptance thresholds, with `ambiguous`
-as a first-class outcome whenever different consistent states disagree.
+Quantum and stochastic verdicts use the 2/3 versus 1/3 acceptance
+thresholds; a classical verdict needs certainty, every cycle outputting 1
+to accept or 0 to reject.  `ambiguous` is a first-class outcome whenever
+different consistent states disagree.  Every verdict checks the
+quantifier over all consistent states, so every verdict is certified.
 A separate field records the comparison of the canonical acceptance
 probability against 1/2 for promise-style use.
 
@@ -37,11 +40,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import circuits
 from .circuits import (
     ClassicalCircuit,
     CTCProgram,
-    DEFAULT_BIT_CAP,
-    DEFAULT_QUBIT_CAP,
     FunctionTable,
     StochasticCircuit,
     StochasticMatrix,
@@ -50,9 +52,8 @@ from .circuits import (
 )
 from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import Matrix, hermitian_psd_check, nullspace
-from .exact.scalars import GaussianRational, Rational, ONE, ZERO
+from .exact.scalars import Rational, ONE, ZERO
 from .fixpoint import (
-    DEFAULT_DIM_CAP,
     FixedPointProjector,
     check_dim_cap,
     compute_fixed_point,
@@ -121,8 +122,8 @@ class Verdict:
 
     exact_accept_probability is taken at the canonical consistent state
     (all-zeros seed); probability_range is the float [min, max] over every
-    consistent state when that range was computed, and certified records
-    whether the quantifier was actually checked rather than sampled.
+    consistent state, and certified records that the quantifier was
+    checked over all of them, as every decision procedure does.
     """
 
     decision: str
@@ -166,21 +167,23 @@ def _half_comparison(p: Rational) -> str:
 def cycle_fixed_point(table: FunctionTable) -> Tuple[ClassicalDistribution, Tuple[int, ...]]:
     """Canonical consistent distribution of a function on bit strings.
 
-    Iterated squaring of the table gives its 2^p-fold composite in p
-    steps; applying that to the all-zeros string always lands on a cycle,
-    because any walk of length 2^p must already have looped.  The result
-    is uniform on that cycle, which the function permutes, so pushing the
-    distribution through the function returns it unchanged.
+    The walk from the all-zeros string repeats a state within 2^p steps:
+    it enters a cycle after t steps and goes round it with period L.  The
+    cycle is listed from f^(2^p)(0), the walk's position after 2^p steps,
+    which is step t + (2^p - t) mod L.  The result is uniform on that
+    cycle, which the function permutes, so pushing the distribution
+    through the function returns it unchanged.
     """
-    g = table
-    for _ in range(table.bits):
-        g = g.compose(g)
-    start = g.apply(0)
-    cycle = [start]
-    y = table.apply(start)
-    while y != start:
-        cycle.append(y)
+    step: Dict[int, int] = {}  # state -> first step at which the walk is there
+    path: List[int] = []
+    y = 0
+    while y not in step:
+        step[y] = len(path)
+        path.append(y)
         y = table.apply(y)
+    t = step[y]
+    start = t + ((1 << table.bits) - t) % (len(path) - t)
+    cycle = path[start:] + path[t:start]
     w = Rational(1, len(cycle))
     probs = [Rational(0)] * (1 << table.bits)
     for y in cycle:
@@ -215,19 +218,17 @@ def enumerate_cycles(table: FunctionTable) -> List[Tuple[int, ...]]:
 
 
 def classical_decide(
-    program: CTCProgram,
-    cr_fixings: Optional[Dict[int, int]] = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
-    certify_limit: int = 16,
+    program: CTCProgram, cr_fixings: Optional[Dict[int, int]] = None
 ) -> Verdict:
     """Decide a classical program under the all-consistent-distributions
     quantifier.
 
-    The canonical verdict comes from the cycle reached from the all-zeros
-    string.  Up to certify_limit CTC bits, every cycle is enumerated so
-    the quantifier is certified: accept means every consistent
-    distribution outputs 1 with certainty, reject means 0 with certainty,
-    anything else is ambiguous.  cr_fixings pins chosen input bits of the
+    The canonical acceptance probability comes from the cycle reached
+    from the all-zeros string.  Every cycle is enumerated, in O(2^p)
+    steps against the 2^(p+qc) of the table, so every verdict is
+    certified: accept means every consistent distribution outputs 1 with
+    certainty, reject means 0 with certainty, anything else is
+    ambiguous.  cr_fixings pins chosen input bits of the
     causality-respecting register (default all zeros).
     """
     if program.kind != "classical":
@@ -236,7 +237,7 @@ def classical_decide(
         raise ValueError("program has no designated output bit")
     circuit: ClassicalCircuit = program.circuit
     p, qc = circuit.ctc_bits, circuit.cr_bits
-    full, _ = classical_table(circuit, bit_cap)
+    full, _ = classical_table(circuit)
     z = 0
     if cr_fixings:
         for idx, bit in cr_fixings.items():
@@ -251,36 +252,22 @@ def classical_decide(
 
     out_pos = qc - 1 - program.output_bit
 
-    def out_bit(y: int) -> int:
-        return (full.outputs[(y << qc) | z] >> out_pos) & 1
+    def accept_share(cyc: Sequence[int]) -> Rational:
+        ones = sum((full.outputs[(y << qc) | z] >> out_pos) & 1 for y in cyc)
+        return Rational(ones, len(cyc))
 
     dist, cycle = cycle_fixed_point(induced)
-    ones = sum(out_bit(y) for y in cycle)
-    p_acc = Rational(ones, len(cycle))
-
-    if p <= certify_limit:
-        per_cycle = []
-        for c in enumerate_cycles(induced):
-            per_cycle.append(Rational(sum(out_bit(y) for y in c), len(c)))
-        lo, hi = min(per_cycle), max(per_cycle)
-        if all(f == 1 for f in per_cycle):
-            decision = "accept"
-        elif all(f == 0 for f in per_cycle):
-            decision = "reject"
-        else:
-            decision = "ambiguous"
-        certified = True
-    else:
-        lo = hi = p_acc
-        decision = "accept" if p_acc == 1 else "reject" if p_acc == 0 else "ambiguous"
-        certified = False
+    p_acc = accept_share(cycle)
+    per_cycle = [accept_share(c) for c in enumerate_cycles(induced)]
+    lo, hi = min(per_cycle), max(per_cycle)
+    decision = "accept" if lo == 1 else "reject" if hi == 0 else "ambiguous"
     return Verdict(
         decision=decision,
         exact_accept_probability=p_acc,
         probability_range=(float(lo), float(hi)),
         witness=dist,
         half_comparison=_half_comparison(p_acc),
-        certified=certified,
+        certified=True,
     )
 
 
@@ -441,12 +428,12 @@ def stochastic_decide(program: CTCProgram) -> Verdict:
 
 # -- quantum --------------------------------------------------------------
 
-def _accept_operator(program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP) -> Matrix:
+def _accept_operator(program: CTCProgram) -> Matrix:
     """POVM element A = sum of A_y^dagger A_y over the Kraus operators
     whose ancilla readout y has the output bit set, so that the acceptance
     probability at CTC state rho is trace(A rho)."""
     pos = program.circuit.cr_qubits - 1 - program.output_bit
-    kraus = induced_kraus(program, max_qubits=max_qubits)
+    kraus = induced_kraus(program)
     a = Matrix.zeros(kraus[0].rows, kraus[0].cols)
     for y, a_y in enumerate(kraus):
         if (y >> pos) & 1:
@@ -454,9 +441,7 @@ def _accept_operator(program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP) -
     return a
 
 
-def accept_probability(
-    program: CTCProgram, rho: DensityMatrix, max_qubits: int = DEFAULT_QUBIT_CAP
-) -> Rational:
+def accept_probability(program: CTCProgram, rho: DensityMatrix) -> Rational:
     """Exact probability that the designated output bit reads 1 when the
     CTC register is fed rho and the ancilla starts at all zeros."""
     if program.kind != "quantum":
@@ -466,7 +451,7 @@ def accept_probability(
     q = program.circuit.ctc_qubits
     if rho.dim != 1 << q:
         raise ValueError(f"state has dimension {rho.dim}, circuit wants {1 << q}")
-    a = _accept_operator(program, max_qubits=max_qubits)
+    a = _accept_operator(program)
     # trace(A rho) = sum_ij A[i, j] rho[j, i]
     total = sum(
         (x * y for x, y in zip(a.entries, rho.matrix.transpose().entries)), ZERO
@@ -492,11 +477,7 @@ def acceptance_operator(program: CTCProgram, proj: FixedPointProjector) -> Matri
     return h
 
 
-def program_projector(
-    program: CTCProgram,
-    max_dim: int = DEFAULT_DIM_CAP,
-    allow_large: bool = False,
-) -> FixedPointProjector:
+def program_projector(program: CTCProgram, allow_large: bool = False) -> FixedPointProjector:
     """Certified fixed-point projector of a quantum program's channel.
 
     The size cap is checked on the number of looped qubits first, so an
@@ -504,17 +485,13 @@ def program_projector(
     entries, is built.  The channel is the projector's source.
     """
     q = program.circuit.ctc_qubits
-    if q <= DEFAULT_QUBIT_CAP:  # past it, circuit_unitary refuses at once
-        check_dim_cap(1 << (2 * q), max_dim, allow_large)
+    if q <= circuits.QUBIT_CAP:  # past it, circuit_unitary refuses at once
+        check_dim_cap(1 << (2 * q), allow_large)
     phi = program_to_natural(program)
-    return fixed_point_projector(phi, max_dim=max_dim, allow_large=allow_large)
+    return fixed_point_projector(phi, allow_large=allow_large)
 
 
-def quantum_decide(
-    program: CTCProgram,
-    max_dim: int = DEFAULT_DIM_CAP,
-    allow_large: bool = False,
-) -> Verdict:
+def quantum_decide(program: CTCProgram, allow_large: bool = False) -> Verdict:
     """Decide a quantum program over its entire fixed-point set.
 
     The canonical fixed point is grown from the all-zeros seed and its
@@ -531,7 +508,7 @@ def quantum_decide(
         raise ValueError("quantum_decide needs a quantum program")
     if program.output_bit is None:
         raise ValueError("program has no designated output bit")
-    proj = program_projector(program, max_dim=max_dim, allow_large=allow_large)
+    proj = program_projector(program, allow_large=allow_large)
     n = proj.source.input_dim
     rho = compute_fixed_point(proj, DensityMatrix.basis_state(n, 0))
     p_acc = accept_probability(program, rho)
@@ -579,8 +556,8 @@ def gadget_np_search(n: int, solutions: Sequence[bool]) -> CTCProgram:
     """
     if n < 1:
         raise ValueError("need at least one bit")
-    if n + 1 > DEFAULT_BIT_CAP:
-        raise ResourceLimitError(f"{n} bits exceeds the cap of {DEFAULT_BIT_CAP - 1}")
+    if n + 1 > circuits.BIT_CAP:
+        raise ResourceLimitError(f"{n} bits exceeds the cap of {circuits.BIT_CAP - 1}")
     size = 1 << n
     if len(solutions) != size:
         raise ValueError(f"need {size} predicate entries, got {len(solutions)}")
@@ -705,7 +682,7 @@ def gadget_pspace(machine: MachineSpec) -> CTCProgram:
     the output bit reads the control bit.
     """
     count = len(machine.names)
-    if count > 1 << (DEFAULT_BIT_CAP - 1):
+    if count > 1 << (circuits.BIT_CAP - 1):
         raise ResourceLimitError(f"{count} configurations exceeds the bit cap")
     p_cfg = max(1, (count - 1).bit_length())
     p = p_cfg + 1

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .circuits import CTCProgram, DEFAULT_QUBIT_CAP, circuit_unitary
+from .circuits import CTCProgram, circuit_unitary
 from .exact.matrices import Matrix, hermitian_psd_check
 from .exact.scalars import GaussianRational, ONE, ZERO
 
@@ -150,13 +150,13 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
     return Superoperator(n, k)
 
 
-def induced_kraus(program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP) -> List[Matrix]:
+def induced_kraus(program: CTCProgram) -> List[Matrix]:
     """Kraus family of the CTC-register channel: one operator per ancilla
     readout value y, with entries A_y[x', x] = U[x' * 2^r + y, x * 2^r]."""
     if program.kind != "quantum":
         raise ValueError("only quantum programs induce a Kraus family")
     circuit = program.circuit
-    u = circuit_unitary(circuit, max_qubits=max_qubits)
+    u = circuit_unitary(circuit)
     q, r = circuit.ctc_qubits, circuit.cr_qubits
     n, anc = 1 << q, 1 << r
     out = []
@@ -171,16 +171,14 @@ def induced_kraus(program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP) -> L
     return out
 
 
-def program_to_natural(
-    program: CTCProgram, max_qubits: int = DEFAULT_QUBIT_CAP
-) -> Superoperator:
+def program_to_natural(program: CTCProgram) -> Superoperator:
     """Exact natural representation of the channel a quantum program
     induces on its CTC register (ancilla starts at |0..0> and is traced
     out after the circuit unitary)."""
     with warnings.catch_warnings():
         # the family from a genuine unitary is complete by construction
         warnings.simplefilter("error", KrausCompletenessWarning)
-        return kraus_to_natural(induced_kraus(program, max_qubits=max_qubits))
+        return kraus_to_natural(induced_kraus(program))
 
 
 def choi_matrix(s: Superoperator) -> Matrix:

@@ -2,8 +2,9 @@
 
 Oracles here deliberately re-derive results through different algorithms
 than the package (cofactor determinants, Gauss-Jordan over the field,
-per-input circuit evaluation, walk-based cycle detection, literal
-conjugation by the circuit unitary) so agreement actually means something.
+per-input circuit evaluation, walk-based cycle detection, iterated
+squaring for the canonical cycle, literal conjugation by the circuit
+unitary) so agreement actually means something.
 """
 
 import random
@@ -256,6 +257,24 @@ def walk_cyclic_nodes(table: FunctionTable) -> frozenset:
                 cyclic.add(y)
                 break
     return frozenset(cyclic)
+
+
+def squaring_cycle(table: FunctionTable) -> Tuple[int, ...]:
+    """The cycle reached from the all-zeros string, listed from f^(2^p)(0).
+
+    p iterated squarings of the table give its 2^p-fold composite; any
+    walk of 2^p steps has already looped, so that composite sends 0 onto
+    the cycle.
+    """
+    g = table.outputs
+    for _ in range(table.bits):
+        g = tuple(g[v] for v in g)
+    cycle = [g[0]]
+    y = table.apply(g[0])
+    while y != cycle[0]:
+        cycle.append(y)
+        y = table.apply(y)
+    return tuple(cycle)
 
 
 def brute_terminal_classes(succ: List[List[int]]) -> List[List[int]]:

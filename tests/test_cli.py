@@ -359,7 +359,7 @@ output cr[0]
 )
 def test_cap_is_checked_before_the_natural_matrix(tmp_path, capsys, monkeypatch, command):
     # q = 5 would need a 1024x1024 natural matrix; it must not be built
-    def refuse(program, max_qubits=8):
+    def refuse(program):
         raise AssertionError("natural matrix built for an oversized program")
 
     monkeypatch.setattr("ctcsim.semantics.program_to_natural", refuse)

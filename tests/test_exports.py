@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,9 @@ import ctcsim.exact
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(ctcsim.__path__, prefix="ctcsim.")
 ) + ["ctcsim"]
+
+PACKAGE_DIR = Path(ctcsim.__file__).parent
+SOURCES = sorted(PACKAGE_DIR.rglob("*.py"))
 
 # second routes that moved into the tests or were dropped
 REMOVED = [
@@ -36,3 +41,49 @@ def test_removed_routes_are_not_exported():
     for package in (ctcsim, ctcsim.exact):
         assert not set(REMOVED) & set(package.__all__)
         assert not any(hasattr(package, name) for name in REMOVED)
+
+
+def test_package_exports_come_from_module_exports():
+    exported = set()
+    for name in MODULES:
+        if name != "ctcsim":
+            exported |= set(getattr(importlib.import_module(name), "__all__", ()))
+    missing = set(ctcsim.__all__) - exported - {"__version__"}
+    assert not missing, f"ctcsim.__all__ names no submodule exports: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE_DIR)))
+def test_every_import_is_used(path):
+    """An import is read in its module or re-exported through __all__.
+
+    An import line marked `# noqa: F401` is exempt: the name is kept bound
+    on purpose.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound in used:
+                continue
+            # the alias may sit on its own line inside parentheses
+            marked = lines[alias.lineno - 1]
+            if "# noqa: F401" not in marked:
+                unused.append(bound)
+    assert not unused, f"{path} imports names it never reads: {unused}"

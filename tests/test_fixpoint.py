@@ -168,10 +168,13 @@ def test_dimension_cap():
         fixed_point_projector(big)
 
 
-def test_allow_large_warns_and_computes():
+def test_allow_large_warns_and_computes(monkeypatch):
+    monkeypatch.setattr("ctcsim.fixpoint.DIM_CAP", 8)
     small = Superoperator(4, Matrix.identity(16))
+    with pytest.raises(ResourceLimitError, match="8x8"):
+        fixed_point_projector(small)
     with pytest.warns(RuntimeWarning, match="several seconds"):
-        proj = fixed_point_projector(small, max_dim=8, allow_large=True)
+        proj = fixed_point_projector(small, allow_large=True)
     assert proj.r_matrix == Matrix.identity(16)
 
 

@@ -13,6 +13,7 @@ from conftest import (
     random_quantum_program,
     random_rank_one_density,
     random_table,
+    squaring_cycle,
     table_to_stochastic,
     walk_cyclic_nodes,
 )
@@ -92,6 +93,20 @@ def test_cycle_fixed_point_is_actually_fixed(seed, bits):
     for x, p in enumerate(dist.probabilities):
         pushed[t.apply(x)] += p
     assert tuple(pushed) == dist.probabilities
+
+
+@given(st.integers(0, 100_000), st.integers(1, 7))
+def test_cycle_fixed_point_matches_squaring_oracle(seed, bits):
+    """Same cycle, listed from the same start, as iterated squaring."""
+    t = random_table(random.Random(seed), bits)
+    _, cycle = cycle_fixed_point(t)
+    assert cycle == squaring_cycle(t)
+
+
+def test_cycle_fixed_point_order_on_every_two_bit_table():
+    for code in range(256):
+        t = FunctionTable(2, tuple((code >> (2 * x)) & 3 for x in range(4)))
+        assert cycle_fixed_point(t)[1] == squaring_cycle(t)
 
 
 @given(st.integers(0, 100_000), st.integers(1, 4))
@@ -197,11 +212,17 @@ def test_classical_decide_requires_output():
         classical_decide(stripped)
 
 
-def test_classical_decide_uncertified_above_limit():
-    prog = gadget_np_search(3, [False] * 8)
-    v = classical_decide(prog, certify_limit=2)
-    assert not v.certified
-    assert v.decision == "reject"
+def test_classical_decide_certifies_wide_identity_loop():
+    # 17 looped bits kept as they are, the output copies the low one: every
+    # string is a fixed point and half of them output 1, though the
+    # canonical walk stays at zero
+    table = FunctionTable(18, tuple((x & ~1) | ((x >> 1) & 1) for x in range(1 << 18)))
+    prog = CTCProgram("classical", ClassicalCircuit(17, 1, (), table), 0)
+    v = classical_decide(prog)
+    assert v.decision == "ambiguous"
+    assert v.certified
+    assert v.exact_accept_probability == 0
+    assert v.probability_range == (0.0, 1.0)
 
 
 # -- stationary distributions -------------------------------------------------
