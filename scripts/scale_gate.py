@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Measure how the exact pipeline scales with the number of looped qubits.
 
-For q = 1..3 this times the natural representation, the projector, and the
-full decision on a rotation-plus-CNOT-chain family.  q = 4 sits above the
+For q = 1..3 this times the full decision on a rotation-plus-CNOT-chain
+family, as the median of three decisions per q.  q = 4 sits above the
 default dimension cap; the script shows the refusal, and --allow-large
-really attempts it (the projector works on an exact 256x256 matrix; the
-whole q = 4 decision took about 8 s on a 2-vCPU VM with the fractions
-backend, and q = 3 about 0.3 s).
+really attempts it once (the projector works on an exact 256x256 matrix;
+the q = 4 decision took 5-7 s on a 2-vCPU VM with Python 3.11 and the
+fractions backend, and q = 3 0.14-0.20 s).
 """
 
 import argparse
+import statistics
 import sys
 import time
 
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ResourceLimitError
 from ctcsim.semantics import quantum_decide
+
+# each q <= --max-qubits is timed as the median of this many decisions
+REPEATS = 3
 
 
 def chain_program(q: int) -> str:
@@ -45,9 +49,12 @@ def main(argv=None) -> int:
     print(f"{'q':>2} {'dim':>4} {'natural':>8} {'seconds':>9}  verdict")
     for q in range(1, args.max_qubits + 1):
         prog = parse_program(chain_program(q))
-        t0 = time.perf_counter()
-        v = quantum_decide(prog)
-        dt = time.perf_counter() - t0
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            v = quantum_decide(prog)
+            times.append(time.perf_counter() - t0)
+        dt = statistics.median(times)
         n = 1 << q
         print(
             f"{q:>2} {n:>4} {n * n:>5}^2 {dt:>9.2f}  {v.decision}, "

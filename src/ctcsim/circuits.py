@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ResourceLimitError
 from .exact.matrices import Matrix
@@ -313,6 +313,18 @@ class StochasticCircuit:
             if all(pc in ("*", bc) for pc, bc in zip(p, bits)):
                 return 1
         return 0
+
+    def accepting_states(self) -> FrozenSet[int]:
+        """Every register value whose output bit is 1.  Each pattern is
+        read once as a pair of integers: the positions it fixes and the
+        bits it wants there."""
+        rules = [
+            (int(p.replace("0", "1").replace("*", "0"), 2), int(p.replace("*", "0"), 2))
+            for p in self.output_patterns
+        ]
+        return frozenset(
+            x for x in range(1 << self.ctc_bits) if any((x & care) == want for care, want in rules)
+        )
 
 
 _KINDS = ("quantum", "classical", "stochastic")

@@ -2,6 +2,9 @@
 
 Representation: row-major tuple of GaussianRational entries.  Matrices are
 immutable; every operation returns a new matrix and equality is exact.
+The constructor keeps entries that are already GaussianRational as they
+are and coerces the rest (ints and rationals) through as_scalar, so the
+matrices that operations build from scalars cost no conversion.
 
 Determinants, adjugates, and nullspaces run on a denominator-cleared
 copy of the matrix using fraction-free (Bareiss style) elimination over
@@ -56,7 +59,11 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        es = tuple(as_scalar(e) for e in entries)
+        es = tuple(entries)
+        for e in es:
+            if type(e) is not GaussianRational:
+                es = tuple(map(as_scalar, es))
+                break
         if len(es) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
         self.rows = rows
@@ -73,11 +80,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, (ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (0 for _ in range(rows * cols)))
+        return cls(rows, cols, (ZERO,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]
@@ -171,24 +178,6 @@ class Matrix:
         return sum(
             (self.entries[i * self.cols + i] for i in range(self.rows)), ZERO
         )
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, self on the high-order index block."""
-        r1, c1, r2, c2 = self.rows, self.cols, other.rows, other.cols
-        out = [ZERO] * (r1 * r2 * c1 * c2)
-        width = c1 * c2
-        for i1 in range(r1):
-            for j1 in range(c1):
-                a = self.entries[i1 * c1 + j1]
-                if a.is_zero():
-                    continue
-                for i2 in range(r2):
-                    base = (i1 * r2 + i2) * width + j1 * c2
-                    for j2 in range(c2):
-                        b = other.entries[i2 * c2 + j2]
-                        if not b.is_zero():
-                            out[base + j2] = a * b
-        return Matrix(r1 * r2, c1 * c2, out)
 
     def is_hermitian(self) -> bool:
         if not self.is_square:

@@ -106,6 +106,8 @@ class ClassicalDistribution:
             )
         total = Rational(0)
         for p in self.probabilities:
+            if not p:
+                continue  # an exact zero is in range and adds nothing
             if p < 0:
                 raise ValueError(f"negative probability {p}")
             total += p
@@ -252,14 +254,21 @@ def classical_decide(
 
     out_pos = qc - 1 - program.output_bit
 
-    def accept_share(cyc: Sequence[int]) -> Rational:
-        ones = sum((full.outputs[(y << qc) | z] >> out_pos) & 1 for y in cyc)
-        return Rational(ones, len(cyc))
+    def ones(cyc: Sequence[int]) -> int:
+        return sum((full.outputs[(y << qc) | z] >> out_pos) & 1 for y in cyc)
 
     dist, cycle = cycle_fixed_point(induced)
-    p_acc = accept_share(cycle)
-    per_cycle = [accept_share(c) for c in enumerate_cycles(induced)]
-    lo, hi = min(per_cycle), max(per_cycle)
+    p_acc = Rational(ones(cycle), len(cycle))
+    # each cycle's share is ones / length; compare the shares as integer
+    # pairs by cross-multiplying, and build a Rational only for the extremes
+    lo = hi = None
+    for c in enumerate_cycles(induced):
+        o, n = ones(c), len(c)
+        if lo is None or o * lo[1] < lo[0] * n:
+            lo = (o, n)
+        if hi is None or o * hi[1] > hi[0] * n:
+            hi = (o, n)
+    lo, hi = Rational(*lo), Rational(*hi)
     decision = "accept" if lo == 1 else "reject" if hi == 0 else "ambiguous"
     return Verdict(
         decision=decision,
@@ -399,13 +408,14 @@ def stochastic_decide(program: CTCProgram) -> Verdict:
         raise ValueError("program has no designated output bit")
     circuit: StochasticCircuit = program.circuit
     res = stationary_distribution(circuit.chain)
+    accepting = circuit.accepting_states()
 
     def accept_mass(dist: ClassicalDistribution) -> Rational:
-        total = Rational(0)
-        for x, p in enumerate(dist.probabilities):
-            if circuit.output_bit_of(x):
-                total += p
-        return total
+        # states outside the support carry an exact zero: skip them
+        return sum(
+            (p for x, p in enumerate(dist.probabilities) if x in accepting and p),
+            Rational(0),
+        )
 
     p_acc = accept_mass(res.distribution)
     per = [accept_mass(c) for c in res.classes]

@@ -11,18 +11,22 @@ occupies the low-order index block throughout, matching circuits.py.
 
 program_to_natural builds the channel from the induced Kraus family, one
 operator per ancilla readout value; the same family gives the acceptance
-measurement in semantics.py.
+measurement in semantics.py.  kraus_to_natural assembles the natural
+matrix on an integer grid: the whole family shares one denominator D,
+the sum runs over Gaussian integers, and each entry of the result is
+built by a single division by D^2.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from .circuits import CTCProgram, circuit_unitary
 from .exact.matrices import Matrix, hermitian_psd_check
-from .exact.scalars import GaussianRational, ONE, ZERO
+from .exact.scalars import GaussianRational, ONE, Rational, ZERO
 
 __all__ = [
     "DensityMatrix",
@@ -126,6 +130,12 @@ class Superoperator:
 def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
     """Natural matrix of the map rho -> sum_j A_j rho A_j^dagger.
 
+    The family is scaled by the least common denominator D of all its
+    entries, so that every D * A_j is a Gaussian-integer grid.  The sum
+    K = sum_j A_j (x) conj(A_j) then runs in integers, completeness is
+    read off that integer sum, and K's entries are divided by D^2 once
+    at the end.
+
     Warns (KrausCompletenessWarning) when sum A_j^dagger A_j != I, since
     the result then fails trace preservation.
     """
@@ -135,18 +145,57 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
     for a in kraus:
         if a.rows != n or a.cols != n:
             raise ValueError("Kraus operators must be square and of equal dimension")
-    total = Matrix.zeros(n, n)
+    den = 1
     for a in kraus:
-        total = total + a.dagger() @ a
-    if not total.is_identity():
+        for e in a.entries:
+            den = math.lcm(den, int(e.re.denominator), int(e.im.denominator))
+    # the nonzero entries of each D * A_j as (row, col, re, im)
+    grids = []
+    for a in kraus:
+        cells = []
+        for idx, e in enumerate(a.entries):
+            if e.re or e.im:
+                cells.append((
+                    idx // n,
+                    idx % n,
+                    int(e.re.numerator) * (den // int(e.re.denominator)),
+                    int(e.im.numerator) * (den // int(e.im.denominator)),
+                ))
+        grids.append(cells)
+    # K[i1 * n + i2, j1 * n + j2] = sum_j A_j[i1, j1] * conj(A_j[i2, j2])
+    size = n * n
+    kr = [0] * (size * size)
+    ki = [0] * (size * size)
+    for cells in grids:
+        for i1, j1, ar, ai in cells:
+            for i2, j2, br, bi in cells:
+                idx = (i1 * n + i2) * size + j1 * n + j2
+                kr[idx] += ar * br + ai * bi
+                ki[idx] += ai * br - ar * bi
+    # summing the rows of K at the diagonal indices k * n + k gives
+    # conj(sum_j A_j^dagger A_j) in row-stacked form, so completeness
+    # reads D^2 at the diagonal columns and 0 elsewhere
+    d2 = den * den
+    diagonal = range(0, size * size, (n + 1) * size)
+    complete = all(
+        sum(kr[r + c] for r in diagonal) == (d2 if c % (n + 1) == 0 else 0)
+        and not sum(ki[r + c] for r in diagonal)
+        for c in range(size)
+    )
+    if not complete:
         warnings.warn(
             "Kraus family is not complete: sum A^dagger A != I",
             KrausCompletenessWarning,
             stacklevel=2,
         )
-    k = Matrix.zeros(n * n, n * n)
-    for a in kraus:
-        k = k + a.kron(a.conj())
+    k = Matrix(
+        size,
+        size,
+        (
+            GaussianRational(Rational(r, d2), Rational(i, d2)) if r or i else ZERO
+            for r, i in zip(kr, ki)
+        ),
+    )
     return Superoperator(n, k)
 
 

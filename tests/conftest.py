@@ -4,7 +4,8 @@ Oracles here deliberately re-derive results through different algorithms
 than the package (cofactor determinants, Gauss-Jordan over the field,
 per-input circuit evaluation, walk-based cycle detection, iterated
 squaring for the canonical cycle, literal conjugation by the circuit
-unitary) so agreement actually means something.
+unitary, dense Kronecker products for the natural matrix) so agreement
+actually means something.
 """
 
 import random
@@ -328,6 +329,34 @@ def random_class_graph(rng: random.Random, classes: int, transient: int) -> List
     return relabelled
 
 
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, a on the high-order index block."""
+    r1, c1, r2, c2 = a.rows, a.cols, b.rows, b.cols
+    out = [ZERO] * (r1 * r2 * c1 * c2)
+    width = c1 * c2
+    for i1 in range(r1):
+        for j1 in range(c1):
+            x = a.entries[i1 * c1 + j1]
+            if x.is_zero():
+                continue
+            for i2 in range(r2):
+                base = (i1 * r2 + i2) * width + j1 * c2
+                for j2 in range(c2):
+                    y = b.entries[i2 * c2 + j2]
+                    if not y.is_zero():
+                        out[base + j2] = x * y
+    return Matrix(r1 * r2, c1 * c2, out)
+
+
+def natural_by_kron(kraus: List[Matrix]) -> Matrix:
+    """sum_j A_j (x) conj(A_j), one dense Kronecker product per operator."""
+    size = kraus[0].rows ** 2
+    total = Matrix.zeros(size, size)
+    for a in kraus:
+        total = total + kron(a, a.conj())
+    return total
+
+
 def program_to_natural_dense(program: CTCProgram) -> Superoperator:
     """The channel by its definition: embed rho as rho (x) |0..0><0..0|,
     conjugate by U (x) conj(U), then block-trace the ancilla.  Dense and
@@ -350,7 +379,7 @@ def program_to_natural_dense(program: CTCProgram) -> Superoperator:
             for y in range(anc):
                 rows[x * n + xp][(x * anc + y) * big + (xp * anc + y)] = ONE
     m1 = Matrix.from_rows(rows)
-    return Superoperator(n, m1 @ (u.kron(u.conj())) @ m0)
+    return Superoperator(n, m1 @ kron(u, u.conj()) @ m0)
 
 
 def dense_accept_operator(program: CTCProgram) -> Matrix:

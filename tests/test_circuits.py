@@ -194,6 +194,22 @@ def test_stochastic_circuit_output_patterns():
     assert circ.output_bit_of(0b01) == 0
 
 
+@given(
+    st.integers(1, 7).flatmap(
+        lambda bits: st.tuples(
+            st.just(bits),
+            st.lists(st.text(alphabet="01*", min_size=bits, max_size=bits), max_size=4),
+        )
+    )
+)
+def test_accepting_states_match_output_bit(case):
+    bits, patterns = case
+    size = 1 << bits
+    circ = StochasticCircuit(bits, StochasticMatrix(size, Matrix.identity(size)), tuple(patterns))
+    expected = {x for x in range(size) if circ.output_bit_of(x)}
+    assert circ.accepting_states() == expected
+
+
 def test_program_kind_checks():
     table = FunctionTable(1, (0, 1))
     circuit = ClassicalCircuit(1, 0, (), table)

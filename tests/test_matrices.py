@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, field_nullspace, field_rref, inverse, random_quantum_program
+from conftest import cofactor_det, field_nullspace, field_rref, inverse, kron, random_quantum_program
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
@@ -195,8 +195,35 @@ def test_gram_matrices_are_psd(m):
 def test_kron_and_transpose_interact():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
-    assert a.kron(b).transpose() == a.transpose().kron(b.transpose())
-    assert a.kron(b).trace() == a.trace() * b.trace()
+    assert kron(a, b).transpose() == kron(a.transpose(), b.transpose())
+    assert kron(a, b).trace() == a.trace() * b.trace()
+
+
+def test_operations_build_exact_scalar_entries():
+    a = Matrix.from_rows([[1, Rational(1, 2)], [GaussianRational(0, 1), -3]])
+    b = Matrix.from_rows([[GaussianRational(Rational(2, 3), 1), 0], [5, Rational(-1, 4)]])
+    built = [
+        a,
+        a + b,
+        a - b,
+        -a,
+        a.scale(3),
+        a.scale(Rational(1, 3)),
+        2 * a,
+        a @ b,
+        a.transpose(),
+        a.conj(),
+        a.dagger(),
+        Matrix.identity(3),
+        Matrix.zeros(2, 3),
+        Matrix(1, 2, [GaussianRational(1), 1]),
+    ]
+    for m in built:
+        assert all(type(e) is GaussianRational for e in m.entries)
+    with pytest.raises(TypeError):
+        Matrix(1, 1, [0.5])
+    with pytest.raises(TypeError):
+        Matrix(1, 2, [GaussianRational(1), 0.5])
 
 
 def test_matmul_shape_mismatch():

@@ -3,10 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import program_to_natural_dense, random_quantum_program, random_rank_one_density
+from conftest import (
+    natural_by_kron,
+    program_to_natural_dense,
+    random_quantum_program,
+    random_rank_one_density,
+)
 from ctcsim.dsl import parse_program
 from ctcsim.exact.matrices import Matrix, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
@@ -95,6 +100,37 @@ def test_incomplete_kraus_family_warns():
     with pytest.warns(KrausCompletenessWarning):
         s = kraus_to_natural([half_x])
     assert not s.is_trace_preserving()
+
+
+@given(st.integers(0, 100_000))
+def test_grid_natural_matrix_matches_kron_on_complete_families(seed):
+    rng = random.Random(seed)
+    kraus = induced_kraus(random_quantum_program(rng, q=rng.randint(1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KrausCompletenessWarning)
+        k = kraus_to_natural(kraus).k_matrix
+    assert k == natural_by_kron(kraus)
+
+
+@given(st.integers(0, 100_000))
+def test_grid_natural_matrix_matches_kron_on_incomplete_families(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+
+    def part():
+        return Rational(rng.randint(-4, 4), rng.randint(1, 6))
+
+    kraus = [
+        Matrix(n, n, (GaussianRational(part(), part()) for _ in range(n * n)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    gram = Matrix.zeros(n, n)
+    for a in kraus:
+        gram = gram + a.dagger() @ a
+    assume(not gram.is_identity())
+    with pytest.warns(KrausCompletenessWarning):
+        k = kraus_to_natural(kraus).k_matrix
+    assert k == natural_by_kron(kraus)
 
 
 @given(st.integers(0, 100_000))
