@@ -61,7 +61,6 @@ from .semantics import (
     enumerate_cycles,
     epsilon_fixed_point_check,
     gadget_narrow_np,
-    gadget_np_conp,
     gadget_np_search,
     gadget_pspace,
     parse_machine,
@@ -120,7 +119,6 @@ __all__ = [
     "enumerate_cycles",
     "epsilon_fixed_point_check",
     "gadget_narrow_np",
-    "gadget_np_conp",
     "gadget_np_search",
     "gadget_pspace",
     "parse_machine",

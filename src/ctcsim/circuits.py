@@ -17,7 +17,10 @@ Constructors check shape only.  Semantic properties (unitarity of custom
 gates, stochasticity, table totality) are reported by the validator in
 the dsl module and enforced again by the operations that rely on them.
 Elaboration refuses a circuit above the fixed caps: QUBIT_CAP qubits for
-the dense unitary, BIT_CAP bits for the function table.
+the unitary, BIT_CAP bits for the function table.  The unitary is built
+one basis column at a time: each column is a sparse {basis index:
+amplitude} map pushed through the gate list, and only the entries that
+survive are written into the dense exact matrix.
 """
 
 from __future__ import annotations
@@ -162,15 +165,19 @@ class QuantumCircuit:
     @cached_property
     def _unitary(self) -> Matrix:
         """Built once per circuit; read through circuit_unitary, which
-        checks the qubit cap first."""
+        checks the qubit cap first.  Every basis column starts as {j: 1}
+        and goes through the gates as a sparse column; the surviving
+        entries are written into one entry list."""
         n = self.total_qubits
         dim = 1 << n
-        rows: List[List[GaussianRational]] = [
-            [ONE if i == j else ZERO for j in range(dim)] for i in range(dim)
-        ]
+        columns: List[Dict[int, GaussianRational]] = [{j: ONE} for j in range(dim)]
         for app in self.gates:
-            rows = _apply_gate(rows, n, app)
-        return Matrix(dim, dim, (e for row in rows for e in row))
+            columns = _apply_gate(columns, n, app)
+        entries = [ZERO] * (dim * dim)
+        for j, column in enumerate(columns):
+            for i, amp in column.items():
+                entries[i * dim + j] = amp
+        return Matrix(dim, dim, entries)
 
 
 Wire = Tuple[str, int]  # bank "ctc" | "cr" | "tmp", index
@@ -307,13 +314,6 @@ class StochasticCircuit:
             if len(p) != self.ctc_bits or any(c not in "01*" for c in p):
                 raise ValueError(f"bad output pattern {p!r}")
 
-    def output_bit_of(self, x: int) -> int:
-        bits = format(x, f"0{self.ctc_bits}b")
-        for p in self.output_patterns:
-            if all(pc in ("*", bc) for pc, bc in zip(p, bits)):
-                return 1
-        return 0
-
     def accepting_states(self) -> FrozenSet[int]:
         """Every register value whose output bit is 1.  Each pattern is
         read once as a pair of integers: the positions it fixes and the
@@ -373,9 +373,11 @@ def circuit_unitary(circuit: QuantumCircuit) -> Matrix:
     """Exact full-space unitary of the circuit, gates applied in order.
 
     The result dimension is 2**(q+r); QUBIT_CAP guards against runaway
-    sizes since the matrix is dense and exact.  The matrix is built on the
-    first call and kept on the (frozen) circuit, so the several layers of
-    one decision share it.
+    sizes since the matrix is dense and exact.  Column j is basis state j
+    pushed through the gates as a sparse column, so a gate costs work in
+    proportion to the column's nonzeros, not to the dimension.  The matrix
+    is built on the first call and kept on the (frozen) circuit, so the
+    several layers of one decision share it.
     """
     n = circuit.total_qubits
     if n > QUBIT_CAP:
@@ -386,48 +388,38 @@ def circuit_unitary(circuit: QuantumCircuit) -> Matrix:
     return circuit._unitary
 
 
-def _apply_gate(rows, n, app: GateApplication):
+def _apply_gate(columns, n, app: GateApplication):
+    """One gate on sparse columns {basis index: amplitude}.
+
+    The gate's input index j is read off its wires, wires[0] first.  Each
+    nonzero g[i, j] adds g[i, j] * amp at the index that has i written on
+    those wires and agrees with the old index elsewhere.  Exact zeros are
+    dropped."""
     k = app.gate.arity
     gdim = 1 << k
-    gm = app.gate.matrix
-    # nonzero structure of each gate row
-    structure = []
-    for i in range(gdim):
-        nz = [(j, gm.entry(i, j)) for j in range(gdim) if not gm.entry(i, j).is_zero()]
-        structure.append(nz)
-    posbits = [n - 1 - w for w in app.wires]
-    mask = 0
-    for pb in posbits:
-        mask |= 1 << pb
-    offsets = []
-    for j in range(gdim):
-        off = 0
-        for t, pb in enumerate(posbits):
-            if (j >> (k - 1 - t)) & 1:
-                off |= 1 << pb
-        offsets.append(off)
-    dim = 1 << n
-    for base in range(dim):
-        if base & mask:
-            continue
-        idxs = [base | off for off in offsets]
-        old = [rows[ix] for ix in idxs]
-        for i in range(gdim):
-            nz = structure[i]
-            if len(nz) == 1 and nz[0][1] == ONE:
-                rows[idxs[i]] = old[nz[0][0]]
-                continue
-            acc = None
-            for j, c in nz:
-                src = old[j]
-                if acc is None:
-                    acc = [c * v for v in src]
-                else:
-                    for t, v in enumerate(src):
-                        if not v.is_zero():
-                            acc[t] = acc[t] + c * v
-            rows[idxs[i]] = acc if acc is not None else [ZERO] * dim
-    return rows
+    shifts = [n - 1 - w for w in app.wires]
+    # place[i]: gate index i written on the gate's wires, zeros elsewhere
+    place = [
+        sum(((i >> (k - 1 - t)) & 1) << s for t, s in enumerate(shifts))
+        for i in range(gdim)
+    ]
+    mask = place[-1]  # gate index 1...1 sets every gate wire
+    g = app.gate.matrix.entries
+    # input j, as placed on the wires -> the nonzero (output place, g[i, j])
+    targets = {
+        place[j]: [(place[i], g[i * gdim + j]) for i in range(gdim) if g[i * gdim + j]]
+        for j in range(gdim)
+    }
+    out = []
+    for column in columns:
+        new: Dict[int, GaussianRational] = {}
+        for b, amp in column.items():
+            rest = b & ~mask
+            for p, c in targets[b & mask]:
+                t = rest | p
+                new[t] = new[t] + c * amp if t in new else c * amp
+        out.append({t: v for t, v in new.items() if v})
+    return out
 
 
 def _eval_assignments(circuit: ClassicalCircuit, x: int) -> int:

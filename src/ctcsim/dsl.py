@@ -417,13 +417,6 @@ def _validate_quantum(circuit: QuantumCircuit, violations: List[str]):
             if detail is None:
                 detail = "rows are not orthogonal"
             violations.append(f"defgate {gate.name} is not unitary ({detail})")
-    n = circuit.total_qubits
-    for app in circuit.gates:
-        for w in app.wires:
-            if not 0 <= w < n:
-                violations.append(
-                    f"gate {app.gate.name} touches wire {w}, but the circuit has {n} wires"
-                )
 
 
 def _validate_classical(circuit: ClassicalCircuit, violations: List[str]):

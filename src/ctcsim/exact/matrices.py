@@ -199,9 +199,6 @@ class Matrix:
             for j in range(n)
         )
 
-    def is_unitary(self) -> bool:
-        return self.is_square and (self.dagger() @ self).is_identity()
-
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(
@@ -229,16 +226,11 @@ class Matrix:
 
 # -- fraction-free kernels ---------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _int_grids(m: Matrix) -> Tuple[List[List[int]], List[List[int]], int]:
     """Clear denominators: return integer re/im grids and the denominator."""
     den = 1
     for e in m.entries:
-        den = _lcm(den, int(e.re.denominator))
-        den = _lcm(den, int(e.im.denominator))
+        den = math.lcm(den, int(e.re.denominator), int(e.im.denominator))
     re_rows: List[List[int]] = []
     im_rows: List[List[int]] = []
     c = m.cols

@@ -33,11 +33,6 @@ class Polynomial:
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
 
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial z."""
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -39,7 +39,6 @@ __all__ = [
     "IMAG_UNIT",
     "as_scalar",
     "rational_from_text",
-    "rational_to_text",
     "scalar_from_text",
     "scalar_to_text",
 ]
@@ -61,11 +60,6 @@ def rational_from_text(text: str) -> Rational:
         return Rational(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
-
-
-def rational_to_text(value) -> str:
-    """Format a rational as "a" or "a/b" in lowest terms."""
-    return str(value)
 
 
 class GaussianRational:

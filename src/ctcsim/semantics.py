@@ -82,7 +82,6 @@ __all__ = [
     "parse_machine",
     "gadget_pspace",
     "gadget_narrow_np",
-    "gadget_np_conp",
     "epsilon_fixed_point_check",
     "ACCEPT_THRESHOLD",
     "REJECT_THRESHOLD",
@@ -746,37 +745,6 @@ def gadget_narrow_np(n: int, witnesses: Sequence[bool], eps: Rational) -> CTCPro
             [
                 [1 - pw * stay, eps],
                 [pw * stay, stay],
-            ]
-        ),
-    )
-    return CTCProgram("stochastic", StochasticCircuit(1, chain, ("1",)), 0)
-
-
-def gadget_np_conp(
-    n: int, yes_witnesses: Sequence[bool], no_witnesses: Sequence[bool]
-) -> CTCProgram:
-    """Two-sided variant: guessed yes-witnesses force the bit to 1,
-    guessed no-witnesses force it to 0, anything else keeps it.  With
-    witnesses on exactly one side the stationary state is a point mass,
-    with no reset probability needed."""
-    if n < 1 or n > 20:
-        raise ValueError("n must be between 1 and 20")
-    size = 1 << n
-    if len(yes_witnesses) != size or len(no_witnesses) != size:
-        raise ValueError(f"witness tables must have {size} entries")
-    overlap = [i for i in range(size) if yes_witnesses[i] and no_witnesses[i]]
-    if overlap:
-        raise ValueError(
-            f"candidate {overlap[0]} is listed as both a yes- and a no-witness"
-        )
-    p_yes = Rational(sum(1 for w in yes_witnesses if w), size)
-    p_no = Rational(sum(1 for w in no_witnesses if w), size)
-    chain = StochasticMatrix(
-        2,
-        Matrix.from_rows(
-            [
-                [1 - p_yes, p_no],
-                [p_yes, 1 - p_no],
             ]
         ),
     )

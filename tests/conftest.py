@@ -3,7 +3,8 @@
 Oracles here deliberately re-derive results through different algorithms
 than the package (cofactor determinants, Gauss-Jordan over the field,
 per-input circuit evaluation, walk-based cycle detection, iterated
-squaring for the canonical cycle, literal conjugation by the circuit
+squaring for the canonical cycle, full-space gate matrices multiplied in
+order for the circuit unitary, literal conjugation by the circuit
 unitary, dense Kronecker products for the natural matrix) so agreement
 actually means something.
 """
@@ -22,6 +23,7 @@ from ctcsim.circuits import (
     GateApplication,
     QuantumCircuit,
     QuantumGate,
+    StochasticCircuit,
     StochasticMatrix,
     circuit_unitary,
 )
@@ -161,6 +163,45 @@ def off_cycle_mass(table: FunctionTable, dist) -> Rational:
 
 
 # -- independent oracles ---------------------------------------------------
+
+def embedded_unitary(circuit: QuantumCircuit) -> Matrix:
+    """The circuit unitary as a product of full-space gate matrices.
+
+    A gate on wires w becomes E with E[a, b] = g[loc(a), loc(b)] when the
+    bit strings a and b agree off w, and 0 elsewhere; loc(a) reads the
+    characters of a at w, w[0] first.  The matrices multiply in gate order
+    with @, so no sparse column or bit mask is involved.
+    """
+    n = circuit.total_qubits
+    dim = 1 << n
+    texts = [format(a, f"0{n}b") for a in range(dim)]
+    u = Matrix.identity(dim)
+    for app in circuit.gates:
+        off = [w for w in range(n) if w not in app.wires]
+        loc = [int("".join(t[w] for w in app.wires), 2) for t in texts]
+        rest = [[t[w] for w in off] for t in texts]
+        e = Matrix(
+            dim,
+            dim,
+            (
+                app.gate.matrix.entry(loc[a], loc[b]) if rest[a] == rest[b] else ZERO
+                for a in range(dim)
+                for b in range(dim)
+            ),
+        )
+        u = e @ u
+    return u
+
+
+def output_bit_of(circuit: StochasticCircuit, x: int) -> int:
+    """Pattern match on the register value's bit string, one pattern and
+    one character at a time."""
+    bits = format(x, f"0{circuit.ctc_bits}b")
+    for p in circuit.output_patterns:
+        if all(pc in ("*", bc) for pc, bc in zip(p, bits)):
+            return 1
+    return 0
+
 
 def cofactor_det(rows: List[List[GaussianRational]]) -> GaussianRational:
     n = len(rows)

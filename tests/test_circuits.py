@@ -5,7 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    TRIPLES,
+    embedded_unitary,
     eval_classical_input,
+    kron,
+    output_bit_of,
     random_classical_circuit,
     random_quantum_program,
 )
@@ -30,7 +34,7 @@ from ctcsim.exact.scalars import GaussianRational, Rational
 
 def test_builtin_gates_are_unitary():
     for name, gate in BUILTIN_GATES.items():
-        assert gate.matrix.is_unitary(), name
+        assert (gate.matrix.dagger() @ gate.matrix).is_identity(), name
         assert gate.arity in (1, 2, 3)
 
 
@@ -50,7 +54,7 @@ def test_circuit_unitary_is_unitary(seed):
     rng = random.Random(seed)
     prog = random_quantum_program(rng)
     u = circuit_unitary(prog.circuit)
-    assert u.is_unitary()
+    assert (u.dagger() @ u).is_identity()
 
 
 @given(st.integers(0, 10_000))
@@ -75,6 +79,47 @@ def test_reversed_adjoint_circuit_inverts(seed):
     )
     n = circuit.total_qubits
     assert circuit_unitary(doubled) == Matrix.identity(1 << n)
+
+
+def _rotation(rng: random.Random) -> Matrix:
+    a, b, c = rng.choice(TRIPLES)
+    return Matrix.from_rows([[Rational(a, c), Rational(-b, c)], [Rational(b, c), Rational(a, c)]])
+
+
+def _dense_two_qubit_gate(rng: random.Random, name: str) -> QuantumGate:
+    """(R1 x R2) CNOT (R3 x R4) for random rational rotations: a custom
+    gate whose entries are mostly nonzero, unlike every builtin."""
+    cnot = BUILTIN_GATES["CNOT"].matrix
+    m = kron(_rotation(rng), _rotation(rng)) @ cnot @ kron(_rotation(rng), _rotation(rng))
+    return QuantumGate(name, m)
+
+
+@given(st.integers(0, 10_000))
+def test_circuit_unitary_matches_embedded_gate_product(seed):
+    """Sparse-column elaboration against full-space gate matrices
+    multiplied in order, on up to 4 wires with every builtin (TOFFOLI
+    included once there are 3 wires), dense custom 2-qubit gates and
+    gate wires listed in shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    q = rng.randint(1, n)
+    defgates = []
+    apps = []
+    names = [name for name, g in BUILTIN_GATES.items() if g.arity <= n]
+    for _ in range(rng.randint(1, 8)):
+        if n >= 2 and rng.random() < 0.3:
+            gate = _dense_two_qubit_gate(rng, f"D{len(defgates)}")
+            defgates.append(gate)
+        else:
+            gate = BUILTIN_GATES[rng.choice(names)]
+        apps.append(GateApplication(gate, tuple(rng.sample(range(n), gate.arity))))
+    circuit = QuantumCircuit(q, n - q, tuple(defgates), tuple(apps))
+    assert circuit_unitary(circuit) == embedded_unitary(circuit)
+
+
+def test_gate_wire_out_of_range_is_refused():
+    with pytest.raises(ValueError, match="out of range"):
+        QuantumCircuit(1, 1, (), (GateApplication(BUILTIN_GATES["X"], (2,)),))
 
 
 def test_single_gate_embedding_on_named_wires():
@@ -190,8 +235,9 @@ def test_stochastic_matrix_shape_check():
 def test_stochastic_circuit_output_patterns():
     m = StochasticMatrix(4, Matrix.identity(4))
     circ = StochasticCircuit(2, m, ("1*",))
-    assert circ.output_bit_of(0b10) == 1
-    assert circ.output_bit_of(0b01) == 0
+    assert output_bit_of(circ, 0b10) == 1
+    assert output_bit_of(circ, 0b01) == 0
+    assert circ.accepting_states() == {0b10, 0b11}
 
 
 @given(
@@ -206,7 +252,7 @@ def test_accepting_states_match_output_bit(case):
     bits, patterns = case
     size = 1 << bits
     circ = StochasticCircuit(bits, StochasticMatrix(size, Matrix.identity(size)), tuple(patterns))
-    expected = {x for x in range(size) if circ.output_bit_of(x)}
+    expected = {x for x in range(size) if output_bit_of(circ, x)}
     assert circ.accepting_states() == expected
 
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ MODULES = sorted(
 
 PACKAGE_DIR = Path(ctcsim.__file__).parent
 SOURCES = sorted(PACKAGE_DIR.rglob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # second routes that moved into the tests or were dropped
 REMOVED = [
@@ -27,6 +30,8 @@ REMOVED = [
     "off_cycle_mass",
     "cycle_support",
     "RANGE_SLACK",
+    "gadget_np_conp",
+    "rational_to_text",
 ]
 
 
@@ -50,6 +55,26 @@ def test_package_exports_come_from_module_exports():
             exported |= set(getattr(importlib.import_module(name), "__all__", ()))
     missing = set(ctcsim.__all__) - exported - {"__version__"}
     assert not missing, f"ctcsim.__all__ names no submodule exports: {sorted(missing)}"
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """The traced benchmark wraps each (module, attribute) it lists at the
+    name the caller looks up, reading the original from the owner's own
+    __dict__; a name that moves or goes away breaks that run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while loading
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        *path, last = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        if last not in owner.__dict__:
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"trace targets not bound: {missing}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE_DIR)))

@@ -42,7 +42,6 @@ from ctcsim.semantics import (
     enumerate_cycles,
     epsilon_fixed_point_check,
     gadget_narrow_np,
-    gadget_np_conp,
     gadget_np_search,
     gadget_pspace,
     parse_machine,
@@ -352,27 +351,6 @@ def test_narrow_np_validates_inputs():
         gadget_narrow_np(1, [True], Rational(1, 4))
     with pytest.raises(ValueError):
         gadget_narrow_np(1, [True, False], Rational(0))
-
-
-def test_np_conp_one_sided_certainty():
-    yes = [False, True]
-    none = [False, False]
-    v = stochastic_decide(gadget_np_conp(1, yes, none))
-    assert v.decision == "accept" and v.exact_accept_probability == 1
-    v2 = stochastic_decide(gadget_np_conp(1, none, yes))
-    assert v2.decision == "reject" and v2.exact_accept_probability == 0
-
-
-def test_np_conp_empty_is_ambiguous():
-    none = [False, False]
-    v = stochastic_decide(gadget_np_conp(1, none, none))
-    assert v.decision == "ambiguous"
-    assert v.probability_range == (0.0, 1.0)
-
-
-def test_np_conp_rejects_overlap():
-    with pytest.raises(ValueError, match="both"):
-        gadget_np_conp(1, [True, False], [True, False])
 
 
 def test_stochastic_decide_requires_output():
