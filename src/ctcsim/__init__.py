@@ -9,8 +9,10 @@ accept/reject/ambiguous verdicts under the all-consistent-states rule.
 The projector is built from the right and left kernels V, W of K - I as
 R = V (W^dagger V)^(-1) W^dagger.  Eigenvalue 1 of a channel is
 semisimple, so this is the same matrix as the paper's resolvent limit
-lim_{z -> 0} z (I - (1 - z) K)^(-1); symbolic_resolvent and
-projector_limit compute that limit literally and are kept as the oracle.
+lim_{z -> 0} z (I - (1 - z) K)^(-1).  The literal limit is kept only as a
+test oracle in ctcsim.fixpoint (symbolic_resolvent, which interpolates all
+entries through one Lagrange basis, and projector_limit); it is not
+exported here.
 """
 
 from .errors import ContractViolationError, ResourceLimitError
@@ -41,12 +43,9 @@ from .superop import (
 )
 from .fixpoint import (
     FixedPointProjector,
-    SymbolicResolvent,
     cesaro_oracle,
     compute_fixed_point,
     fixed_point_projector,
-    projector_limit,
-    symbolic_resolvent,
     verify_fixed_point,
 )
 from .semantics import (
@@ -101,12 +100,9 @@ __all__ = [
     "unvec",
     "vec",
     "FixedPointProjector",
-    "SymbolicResolvent",
     "cesaro_oracle",
     "compute_fixed_point",
     "fixed_point_projector",
-    "projector_limit",
-    "symbolic_resolvent",
     "verify_fixed_point",
     "ClassicalDistribution",
     "EpsilonReport",

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ResourceLimitError
 from .exact.matrices import Matrix
-from .exact.scalars import GaussianRational, Rational, ZERO, ONE
+from .exact.scalars import GaussianRational, IMAG_UNIT, Rational, ZERO, ONE
 
 __all__ = [
     "QuantumGate",
@@ -80,15 +80,13 @@ def _gate(name: str, rows) -> QuantumGate:
     return QuantumGate(name, Matrix.from_rows(rows))
 
 
-_i = GaussianRational(0, 1)
-
 BUILTIN_GATES: Dict[str, QuantumGate] = {
     g.name: g
     for g in (
         _gate("X", [[0, 1], [1, 0]]),
-        _gate("Y", [[0, -_i], [_i, 0]]),
+        _gate("Y", [[0, -IMAG_UNIT], [IMAG_UNIT, 0]]),
         _gate("Z", [[1, 0], [0, -1]]),
-        _gate("S", [[1, 0], [0, _i]]),
+        _gate("S", [[1, 0], [0, IMAG_UNIT]]),
         _gate(
             "CNOT",
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],

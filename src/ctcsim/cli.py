@@ -33,6 +33,8 @@ from .gallery import demo_source, machine_source
 from .semantics import (
     ClassicalDistribution,
     Verdict,
+    check_narrow_np_bits,
+    check_np_search_bits,
     classical_decide,
     cycle_fixed_point,
     epsilon_fixed_point_check,
@@ -299,6 +301,7 @@ def _demo_grandfather(params: Dict[str, str], em: _Emitter):
 
 def _demo_np_search(params: Dict[str, str], em: _Emitter):
     n = int(params.get("n", "2"))
+    check_np_search_bits(n)
     solutions = _bitstring_set(params.get("solutions", "10"), n)
     program = gadget_np_search(n, solutions)
     em.stage("parse")
@@ -339,6 +342,7 @@ def _demo_pspace(params: Dict[str, str], em: _Emitter):
 def _demo_narrow(params: Dict[str, str], em: _Emitter):
     n = int(params.get("n", "4"))
     eps = rational_from_text(params.get("eps", "1/1024"))
+    check_narrow_np_bits(n)
     witnesses = _bitstring_set(params.get("witnesses", "0111"), n)
     program = gadget_narrow_np(n, witnesses, eps)
     em.stage("parse")
@@ -476,7 +480,8 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a file that is not UTF-8 text is an input error, not a semantic one
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitError as exc:

@@ -13,7 +13,6 @@ from .scalars import (
 from .polys import Polynomial, lagrange_interpolate
 from .matrices import (
     Matrix,
-    PolyMatrix,
     PsdVerdict,
     SingularMatrixError,
     char_poly,
@@ -34,7 +33,6 @@ __all__ = [
     "Polynomial",
     "lagrange_interpolate",
     "Matrix",
-    "PolyMatrix",
     "PsdVerdict",
     "SingularMatrixError",
     "char_poly",

@@ -17,8 +17,9 @@ kernel bug surfaces as a loud error instead of a wrong answer.
 Characteristic polynomials use Faddeev-LeVerrier, again on the cleared
 matrix, with the coefficients rescaled afterwards.
 
-PolyMatrix is the polynomial-entry companion used by the symbolic
-resolvent; it only needs construction, entry access, and evaluation.
+There is no matrix of polynomials: the resolvent oracle in ctcsim.fixpoint
+keeps its n^2 numerators as a row-major tuple of Polynomials, built
+through one shared Lagrange basis.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .scalars import GaussianRational, ONE, Rational, ZERO, as_scalar
 
 __all__ = [
     "Matrix",
-    "PolyMatrix",
     "SingularMatrixError",
     "PsdVerdict",
     "det_and_adjugate",
@@ -494,47 +494,3 @@ def nullspace(m: Matrix) -> List[List[GaussianRational]]:
                 )
         basis.append(v)
     return basis
-
-
-class PolyMatrix:
-    """Immutable dense matrix of polynomials with a declared degree bound."""
-
-    __slots__ = ("rows", "cols", "entries", "degree_bound")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Polynomial], degree_bound: int):
-        es = tuple(entries)
-        if len(es) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
-        for e in es:
-            if not isinstance(e, Polynomial):
-                raise TypeError("PolyMatrix entries must be Polynomial")
-            if e.degree > degree_bound:
-                raise ValueError(
-                    f"entry degree {e.degree} exceeds declared bound {degree_bound}"
-                )
-        self.rows = rows
-        self.cols = cols
-        self.entries = es
-        self.degree_bound = degree_bound
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i * self.cols + j]
-
-    def evaluate(self, z) -> Matrix:
-        """Evaluate every entry at an exact point."""
-        return Matrix(self.rows, self.cols, (e.evaluate(z) for e in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, degree_bound={self.degree_bound})"

@@ -140,9 +140,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

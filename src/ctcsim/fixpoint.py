@@ -21,10 +21,13 @@ small inverse, and certifies it with K V = V, W^dagger K = W^dagger and
 det(W^dagger V) != 0, which together give R^2 = R, K R = R K = R and
 R V = V without any n x n x n product.
 
-The paper-faithful route stays as the oracle the tests compare against:
-symbolic_resolvent samples det and adjugate of I - (1 - z) K at integer z
-and interpolates exact polynomials, and projector_limit reads the limit
-off their lowest nonzero coefficients.  Neither runs in a decision.
+The paper-faithful route stays here as the oracle the tests compare
+against: symbolic_resolvent samples det and adjugate of I - (1 - z) K at
+n + 2 integer z, builds the Lagrange basis of those abscissae once, and
+forms the denominator and every numerator as a combination of that one
+basis; projector_limit reads the limit off their lowest nonzero
+coefficients.  Neither runs in a decision, and neither is exported from
+the top-level package.
 
 The whole computation stays in rational arithmetic: no eigendecomposition,
 no floating point, no assumption that K is diagonalizable.
@@ -37,19 +40,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import (
     Matrix,
-    PolyMatrix,
     SingularMatrixError,
     det_and_adjugate,
     hermitian_psd_check,
     nullspace,
 )
 from .exact.polys import Polynomial, lagrange_interpolate
-from .exact.scalars import GaussianRational, ONE
+from .exact.scalars import GaussianRational, ONE, ZERO
 from .superop import DensityMatrix, Superoperator, choi_matrix, unvec, vec
 
 if TYPE_CHECKING:
@@ -77,10 +79,11 @@ LARGE_DIM_CAP = 256
 
 @dataclass(frozen=True)
 class SymbolicResolvent:
-    """R_z as exact polynomial data: entry (i,j) is numerators[i,j]/denominator."""
+    """R_z as exact polynomial data: entry (i,j) is
+    numerators[i * dim + j] / denominator."""
 
     dim: int
-    numerators: PolyMatrix
+    numerators: Tuple[Polynomial, ...]
     denominator: Polynomial
     source_matrix: Matrix
 
@@ -89,7 +92,8 @@ class SymbolicResolvent:
         d = self.denominator.evaluate(z)
         if d.is_zero():
             raise ZeroDivisionError(f"denominator vanishes at z = {z}")
-        return self.numerators.evaluate(z).scale(GaussianRational(1) / d)
+        values = Matrix(self.dim, self.dim, (e.evaluate(z) for e in self.numerators))
+        return values.scale(GaussianRational(1) / d)
 
 
 @dataclass(frozen=True)
@@ -125,14 +129,22 @@ def symbolic_resolvent(m: Matrix) -> SymbolicResolvent:
             continue
         samples.append((GaussianRational(z0), det, adj.scale(GaussianRational(z0))))
         z0 += 1
-    bound = n + 1
-    denominator = lagrange_interpolate([(z, d) for z, d, _ in samples], bound)
-    polys = []
-    for i in range(n):
-        for j in range(n):
-            pts = [(z, num.entry(i, j)) for z, _, num in samples]
-            polys.append(lagrange_interpolate(pts, bound))
-    return SymbolicResolvent(n, PolyMatrix(n, n, polys, bound), denominator, m)
+    # one Lagrange basis L_k over the sampled abscissae serves the
+    # denominator and all n^2 numerators as sums of v_k * L_k
+    zs = [z for z, _, _ in samples]
+    basis = [
+        lagrange_interpolate([(z, ONE if j == k else ZERO) for j, z in enumerate(zs)], n + 1)
+        for k in range(need)
+    ]
+
+    def through(values) -> Polynomial:
+        return sum((b.scale(v) for b, v in zip(basis, values) if v), Polynomial.zero())
+
+    denominator = through(d for _, d, _ in samples)
+    numerators = tuple(
+        through(num.entries[e] for _, _, num in samples) for e in range(n * n)
+    )
+    return SymbolicResolvent(n, numerators, denominator, m)
 
 
 def projector_limit(s: SymbolicResolvent) -> FixedPointProjector:
@@ -151,7 +163,7 @@ def projector_limit(s: SymbolicResolvent) -> FixedPointProjector:
     entries: List[GaussianRational] = []
     for i in range(s.dim):
         for j in range(s.dim):
-            num = s.numerators.entry(i, j)
+            num = s.numerators[i * s.dim + j]
             low = num.lowest_nonzero_index()
             if low is not None and low < k:
                 raise ContractViolationError(
@@ -199,13 +211,15 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
     if n > DIM_CAP:
         warnings.warn(
             f"computing an exact {n}x{n} fixed-point projector; at 256x256 "
-            f"this takes several seconds",
+            f"this takes several seconds for a sparse channel, and a dense "
+            f"one may not finish within minutes",
             RuntimeWarning,
             stacklevel=2,
         )
-    eye = Matrix.identity(n)
-    v = _columns(nullspace(k - eye), n)
-    wd = _columns(nullspace(k.dagger() - eye), n).dagger()
+    # (K - I)^dagger = K^dagger - I, so one shift serves both kernels
+    shifted = k - Matrix.identity(n)
+    v = _columns(nullspace(shifted), n)
+    wd = _columns(nullspace(shifted.dagger()), n).dagger()
     # rank(A) = rank(A^dagger), so only a kernel bug can split the sizes
     if wd.rows != v.cols:
         raise ContractViolationError(

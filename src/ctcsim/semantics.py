@@ -78,9 +78,11 @@ __all__ = [
     "acceptance_operator",
     "program_projector",
     "quantum_decide",
+    "check_np_search_bits",
     "gadget_np_search",
     "parse_machine",
     "gadget_pspace",
+    "check_narrow_np_bits",
     "gadget_narrow_np",
     "epsilon_fixed_point_check",
     "ACCEPT_THRESHOLD",
@@ -554,6 +556,14 @@ def quantum_decide(program: CTCProgram, allow_large: bool = False) -> Verdict:
 
 # -- gadget generators ----------------------------------------------------
 
+def check_np_search_bits(n: int) -> None:
+    """Refuse an np-search width before anything builds its 2^n predicate."""
+    if n < 1:
+        raise ValueError("need at least one bit")
+    if n + 1 > circuits.BIT_CAP:
+        raise ResourceLimitError(f"{n} bits exceeds the cap of {circuits.BIT_CAP - 1}")
+
+
 def gadget_np_search(n: int, solutions: Sequence[bool]) -> CTCProgram:
     """Search loop on n bits: solutions stay put, everything else steps to
     the next string (wrapping), and the output bit reports whether the
@@ -563,10 +573,7 @@ def gadget_np_search(n: int, solutions: Sequence[bool]) -> CTCProgram:
     loops when any exist, or the full increment cycle (all outputs 0)
     when none do.
     """
-    if n < 1:
-        raise ValueError("need at least one bit")
-    if n + 1 > circuits.BIT_CAP:
-        raise ResourceLimitError(f"{n} bits exceeds the cap of {circuits.BIT_CAP - 1}")
+    check_np_search_bits(n)
     size = 1 << n
     if len(solutions) != size:
         raise ValueError(f"need {size} predicate entries, got {len(solutions)}")
@@ -712,6 +719,12 @@ def gadget_pspace(machine: MachineSpec) -> CTCProgram:
     return CTCProgram("classical", circuit, 0)
 
 
+def check_narrow_np_bits(n: int) -> None:
+    """Refuse a narrow-NP width before anything builds its 2^n witness table."""
+    if n < 1 or n > 20:
+        raise ValueError("n must be between 1 and 20")
+
+
 def gadget_narrow_np(n: int, witnesses: Sequence[bool], eps: Rational) -> CTCProgram:
     """One-bit chain that amplifies any witness among 2^n candidates.
 
@@ -722,8 +735,7 @@ def gadget_narrow_np(n: int, witnesses: Sequence[bool], eps: Rational) -> CTCPro
     1, where pw is the witness density, so a single witness beats any
     eps well below 2^-n while no witness pins the bit to 0.
     """
-    if n < 1 or n > 20:
-        raise ValueError("n must be between 1 and 20")
+    check_narrow_np_bits(n)
     size = 1 << n
     if len(witnesses) != size:
         raise ValueError(f"need {size} witness entries, got {len(witnesses)}")

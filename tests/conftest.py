@@ -5,8 +5,8 @@ than the package (cofactor determinants, Gauss-Jordan over the field,
 per-input circuit evaluation, walk-based cycle detection, iterated
 squaring for the canonical cycle, full-space gate matrices multiplied in
 order for the circuit unitary, literal conjugation by the circuit
-unitary, dense Kronecker products for the natural matrix) so agreement
-actually means something.
+unitary, dense Kronecker products for the natural matrix, one
+interpolation per resolvent entry) so agreement actually means something.
 """
 
 import random
@@ -27,7 +27,8 @@ from ctcsim.circuits import (
     StochasticMatrix,
     circuit_unitary,
 )
-from ctcsim.exact.matrices import Matrix, det_and_adjugate, nullspace
+from ctcsim.exact.matrices import Matrix, SingularMatrixError, det_and_adjugate, nullspace
+from ctcsim.exact.polys import Polynomial, lagrange_interpolate
 from ctcsim.exact.scalars import GaussianRational, ONE, Rational, ZERO
 from ctcsim.superop import DensityMatrix, Superoperator, unvec, vec
 
@@ -135,6 +136,28 @@ def random_rank_one_density(rng: random.Random, dim: int):
 def inverse(m: Matrix) -> Matrix:
     det, adj = det_and_adjugate(m)
     return adj.scale(ONE / det)
+
+
+def resolvent_by_entry(m: Matrix) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
+    """Denominator and row-major numerators of z (I - (1 - z) M)^(-1), each
+    interpolated on its own over the first n + 2 integers z >= 1 at which
+    I - (1 - z) M is invertible."""
+    n = m.rows
+    points = []  # (z, det, z * adjugate)
+    z = 0
+    while len(points) < n + 2:
+        z += 1
+        try:
+            det, adj = det_and_adjugate(Matrix.identity(n) - m.scale(1 - z))
+        except SingularMatrixError:
+            continue
+        points.append((z, det, adj.scale(z)))
+    denominator = lagrange_interpolate([(z, d) for z, d, _ in points], n + 1)
+    numerators = tuple(
+        lagrange_interpolate([(z, num.entries[e]) for z, _, num in points], n + 1)
+        for e in range(n * n)
+    )
+    return denominator, numerators
 
 
 def fixed_space_basis(phi: Superoperator) -> List[Matrix]:

@@ -101,6 +101,14 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.ctc"
+    path.write_bytes(b"quantum\n\xff\n")
+    code, out, err = run(capsys, ["decide", str(path)])
+    assert code == 2
+    assert "cannot read input" in err
+
+
 # -- decide ------------------------------------------------------------------
 
 def test_decide_grandfather_is_ambiguous(tmp_path, capsys):
@@ -268,6 +276,20 @@ def test_demo_np_search_bad_param(capsys):
     )
     assert code == 3
     assert "bad 2-bit string" in err
+
+
+@pytest.mark.parametrize(
+    "demo, table, expected",
+    [("np-search", "solutions", 5), ("narrow", "witnesses", 3)],
+)
+def test_demo_width_is_checked_before_the_table(capsys, demo, table, expected):
+    # a 2^60-entry table is refused by Python without allocating, so an
+    # unchecked width would surface as an internal error (exit 6)
+    code, out, err = run(
+        capsys, ["demo", demo, "--param", "n=60", "--param", f"{table}=none"]
+    )
+    assert code == expected
+    assert "internal error" not in err
 
 
 def test_demo_pspace(capsys):

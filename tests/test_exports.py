@@ -32,6 +32,11 @@ REMOVED = [
     "RANGE_SLACK",
     "gadget_np_conp",
     "rational_to_text",
+    # the resolvent oracle stays in ctcsim.fixpoint, off the package surface
+    "PolyMatrix",
+    "SymbolicResolvent",
+    "symbolic_resolvent",
+    "projector_limit",
 ]
 
 

@@ -3,10 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import fixed_space_basis, inverse, random_quantum_program, random_rank_one_density
+from conftest import (
+    fixed_space_basis,
+    inverse,
+    random_quantum_program,
+    random_rank_one_density,
+    resolvent_by_entry,
+)
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ContractViolationError, ResourceLimitError
 from ctcsim.exact.matrices import Matrix
@@ -80,6 +86,34 @@ def test_resolvent_matches_direct_inverse(seed):
     z = Rational(1, 2)
     grid = Matrix.identity(4) - k.scale(GaussianRational(1 - z))
     assert s.evaluate(z) == inverse(grid).scale(GaussianRational(z))
+
+
+@st.composite
+def resolvent_sources(draw):
+    """Rational n x n matrices, n = 1..4.  Diagonal entries -1 and -1/2 on a
+    triangular matrix are eigenvalues that make I - (1 - z) M singular at
+    z = 2 and z = 3, so the resolvent must skip those abscissae."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(-2, 2, max_denominator=4)
+    diagonal = st.sampled_from([Rational(-1), Rational(-1, 2)]) | entry
+    triangular = draw(st.booleans())
+    rows = [
+        [
+            draw(diagonal if i == j else entry) if j >= i or not triangular else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return Matrix.from_rows([[Rational(v) for v in row] for row in rows])
+
+
+@given(resolvent_sources())
+@example(Matrix.from_rows([[-1, 1], [0, Rational(-1, 2)]]))
+def test_shared_basis_matches_per_entry_interpolation(m):
+    s = symbolic_resolvent(m)
+    denominator, numerators = resolvent_by_entry(m)
+    assert s.denominator == denominator
+    assert s.numerators == numerators
 
 
 def test_resolvent_matches_truncated_neumann():
