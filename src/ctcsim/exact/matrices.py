@@ -6,16 +6,17 @@ The constructor keeps entries that are already GaussianRational as they
 are and coerces the rest (ints and rationals) through as_scalar, so the
 matrices that operations build from scalars cost no conversion.
 
-Determinants, adjugates, and nullspaces run on a denominator-cleared
-copy of the matrix using fraction-free (Bareiss style) elimination over
-the Gaussian integers.  One Gauss-Jordan kernel
-serves both the adjugate, on [M | I] with pivots in the first n columns,
-and the nullspace, with pivots anywhere; results are rescaled to
-rationals once at the end.  Divisions inside the elimination are exact by
+Determinants, adjugates, nullspaces and the positive-semidefiniteness
+check run on a denominator-cleared copy of the matrix using fraction-free
+(Bareiss style) elimination over the Gaussian integers.  One Gauss-Jordan
+kernel serves both the adjugate, on [M | I] with pivots in the first n
+columns, and the nullspace, with pivots anywhere; results are rescaled to
+rationals once at the end.  The PSD check is the symmetric variant,
+pivoting down the diagonal.  Divisions inside the elimination are exact by
 the Sylvester minor identities; each one is checked with divmod so that a
-kernel bug surfaces as a loud error instead of a wrong answer.
-Characteristic polynomials use Faddeev-LeVerrier, again on the cleared
-matrix, with the coefficients rescaled afterwards.
+kernel bug surfaces as a loud error instead of a wrong answer.  The
+characteristic polynomial is interpolated from determinants; it serves
+the tests as the PSD check's oracle, not any decision.
 
 There is no matrix of polynomials: the resolvent oracle in ctcsim.fixpoint
 keeps its n^2 numerators as a row-major tuple of Polynomials, built
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .polys import Polynomial
+from .polys import Polynomial, lagrange_interpolate
 from .scalars import GaussianRational, ONE, Rational, ZERO, as_scalar
 
 __all__ = [
@@ -366,60 +367,21 @@ def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
 def char_poly(m: Matrix) -> Polynomial:
     """Characteristic polynomial det(t * identity - m), monic, exact.
 
-    Runs Faddeev-LeVerrier on the denominator-cleared matrix, where every
-    intermediate stays a Gaussian integer, then rescales coefficients.
+    No decision uses it; it is the tests' oracle for the PSD check.  It
+    interpolates det(t * identity - m) through t = 0..n, each value taken
+    from det_and_adjugate, with a singular sample read as zero.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial((1,))
-    BR, BI, den = _int_grids(m)
-    # coeffs[k] is the t^k coefficient of det(t*identity - den*m)
-    coeffs: List[Tuple[int, int]] = [(0, 0)] * n + [(1, 0)]
-    MR = [row[:] for row in BR]
-    MI = [row[:] for row in BI]
-    for k in range(1, n + 1):
-        tr_r = sum(MR[i][i] for i in range(n))
-        tr_i = sum(MI[i][i] for i in range(n))
-        cr, rr = divmod(tr_r, k)
-        ci, ri = divmod(tr_i, k)
-        if rr or ri:
-            raise _KernelBug("trace not divisible in Faddeev-LeVerrier")
-        coeffs[n - k] = (-cr, -ci)
-        if k == n:
-            break
-        for i in range(n):
-            MR[i][i] -= cr
-            MI[i][i] -= ci
-        MR, MI = _grid_matmul(BR, BI, MR, MI, n)
-    d = Rational(den)
-    out = []
-    for k in range(n + 1):
-        scale = Rational(1, 1) / d ** (n - k)
-        out.append(
-            GaussianRational(coeffs[k][0] * scale, coeffs[k][1] * scale)
-        )
-    return Polynomial(out)
-
-
-def _grid_matmul(AR, AI, BR, BI, n):
-    CR = [[0] * n for _ in range(n)]
-    CI = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ar_row, ai_row = AR[i], AI[i]
-        cr_row, ci_row = CR[i], CI[i]
-        for k in range(n):
-            xr, xi = ar_row[k], ai_row[k]
-            if not xr and not xi:
-                continue
-            br_row, bi_row = BR[k], BI[k]
-            for j in range(n):
-                yr, yi = br_row[j], bi_row[j]
-                if yr or yi:
-                    cr_row[j] += xr * yr - xi * yi
-                    ci_row[j] += xr * yi + xi * yr
-    return CR, CI
+    points = []
+    for t in range(n + 1):
+        try:
+            det = det_and_adjugate(Matrix.identity(n).scale(t) - m)[0]
+        except SingularMatrixError:
+            det = ZERO
+        points.append((t, det))
+    return lagrange_interpolate(points, n)
 
 
 class PsdVerdict:
@@ -441,10 +403,15 @@ class PsdVerdict:
 def hermitian_psd_check(m: Matrix) -> PsdVerdict:
     """Decide exactly whether a Hermitian matrix is positive semidefinite.
 
-    Uses the sign pattern of the characteristic polynomial: with monic
-    p(t) = sum c_k t^k of degree n, all eigenvalues are nonnegative iff
-    (-1)^(n-k) * c_k >= 0 for every k.  Leading principal minors are not
-    used because they can vanish on singular PSD matrices.  A
+    Runs fraction-free symmetric elimination (Bareiss 1968) on the
+    denominator-cleared matrix, pivoting down the diagonal in natural
+    order.  Each remaining entry is the determinant of the principal minor
+    pivoted so far, which is positive, times the matching entry of its
+    Schur complement, so every sign read is exact.  A negative pivot, or a
+    zero pivot whose remaining row is nonzero, proves a negative
+    eigenvalue; a zero pivot with a zero row drops its index.  Only the
+    upper triangle is updated, and an entry that is zero in both its row
+    and the pivot row is skipped, so low-rank matrices stay cheap.  A
     non-Hermitian input yields a false verdict with a reason, not an
     exception.
     """
@@ -452,15 +419,32 @@ def hermitian_psd_check(m: Matrix) -> PsdVerdict:
         return PsdVerdict(False, "not-square")
     if not m.is_hermitian():
         return PsdVerdict(False, "not-hermitian")
-    p = char_poly(m)
+    R, I, _ = _int_grids(m)
     n = m.rows
-    for k in range(n + 1):
-        c = p.coeff(k)
-        if c.im:
-            raise _KernelBug("complex coefficient in Hermitian characteristic polynomial")
-        signed = c.re if (n - k) % 2 == 0 else -c.re
-        if signed < 0:
+    prev = 1
+    for k in range(n):
+        rkR, rkI = R[k], I[k]
+        if rkI[k]:
+            raise _KernelBug("complex diagonal in Hermitian elimination")
+        p = rkR[k]
+        if p < 0:
             return PsdVerdict(False, "negative-eigenvalue")
+        if not p:
+            if any(rkR[j] or rkI[j] for j in range(k + 1, n)):
+                return PsdVerdict(False, "negative-eigenvalue")
+            continue
+        for i in range(k + 1, n):
+            riR, riI = R[i], I[i]
+            # a_ik is conj(a_ki), read from the pivot row
+            fr, fi = rkR[i], -rkI[i]
+            for j in range(i, n):
+                ar, ai = riR[j], riI[j]
+                br, bi = rkR[j], rkI[j]
+                if ar or ai or br or bi:
+                    tr = p * ar - fr * br + fi * bi
+                    ti = p * ai - fr * bi - fi * br
+                    riR[j], riI[j] = _divc(tr, ti, prev, 0)
+        prev = p
     return PsdVerdict(True)
 
 

@@ -620,8 +620,22 @@ class MachineSpec:
                 raise ValueError(f"non-halting configuration {self.names[i]} has no successor")
             if not 0 <= s < count:
                 raise ValueError(f"successor of {self.names[i]} out of range")
+        # one walk per configuration not yet known to halt, stopping at the
+        # first known one, so every successor is read once
+        halts = [self._is_halting(i) for i in range(count)]
         for i in range(count):
-            self._run_from(i)
+            path = set()
+            j = i
+            while not halts[j]:
+                if j in path:
+                    raise ValueError(
+                        f"machine never halts from {self.names[i]} (loops at "
+                        f"{self.names[j]})"
+                    )
+                path.add(j)
+                j = self.successors[j]
+            for j in path:
+                halts[j] = True
 
     def _is_halting(self, i: int) -> bool:
         return i in self.accepting or i in self.rejecting

@@ -6,7 +6,9 @@ per-input circuit evaluation, walk-based cycle detection, iterated
 squaring for the canonical cycle, full-space gate matrices multiplied in
 order for the circuit unitary, literal conjugation by the circuit
 unitary, dense Kronecker products for the natural matrix, one
-interpolation per resolvent entry) so agreement actually means something.
+interpolation per resolvent entry, the sign pattern of the characteristic
+polynomial for positive semidefiniteness) so agreement actually means
+something.
 """
 
 import random
@@ -27,7 +29,13 @@ from ctcsim.circuits import (
     StochasticMatrix,
     circuit_unitary,
 )
-from ctcsim.exact.matrices import Matrix, SingularMatrixError, det_and_adjugate, nullspace
+from ctcsim.exact.matrices import (
+    Matrix,
+    SingularMatrixError,
+    char_poly,
+    det_and_adjugate,
+    nullspace,
+)
 from ctcsim.exact.polys import Polynomial, lagrange_interpolate
 from ctcsim.exact.scalars import GaussianRational, ONE, Rational, ZERO
 from ctcsim.superop import DensityMatrix, Superoperator, unvec, vec
@@ -158,6 +166,17 @@ def resolvent_by_entry(m: Matrix) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
         for e in range(n * n)
     )
     return denominator, numerators
+
+
+def psd_by_char_poly(m: Matrix) -> bool:
+    """Whether a Hermitian matrix is positive semidefinite, read from the
+    sign pattern of its characteristic polynomial: with monic
+    p(t) = sum c_k t^k of degree n, every eigenvalue is nonnegative iff
+    (-1)^(n-k) c_k >= 0 for every k.  Leading principal minors would not
+    do, because they can vanish on singular PSD matrices."""
+    p = char_poly(m)
+    n = m.rows
+    return all((-1) ** (n - k) * p.coeff(k).re >= 0 for k in range(n + 1))
 
 
 def fixed_space_basis(phi: Superoperator) -> List[Matrix]:

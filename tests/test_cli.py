@@ -13,10 +13,11 @@ from ctcsim.circuits import CTCProgram
 from ctcsim.cli import EXIT_INTERNAL, main, run_cli
 from ctcsim.dsl import parse_program, program_to_text
 from ctcsim.errors import ContractViolationError
-from ctcsim.exact.matrices import _KernelBug
+from ctcsim.exact.matrices import Matrix, _KernelBug
 from ctcsim.exact.scalars import Rational, rational_from_text, scalar_from_text
 from ctcsim.gallery import QUANTUM_DEMOS
 from ctcsim.semantics import gadget_np_search, quantum_decide
+from ctcsim.superop import DensityMatrix
 
 GRANDFATHER = QUANTUM_DEMOS["grandfather"]
 
@@ -497,6 +498,24 @@ def test_exact_decisions_load_neither_numpy_nor_networkx():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["import []", "classical 0 []", "stochastic 0 []"]
+
+
+def test_no_decision_reaches_the_characteristic_polynomial(tmp_path, capsys, monkeypatch):
+    # char_poly is the PSD check's test oracle; decisions eliminate instead
+    runs = [
+        [command, write(tmp_path, text, f"{name}.ctc")]
+        for name, text in QUANTUM_DEMOS.items()
+        for command in ("decide", "fixpoint")
+    ]
+    expected = [run(capsys, argv)[:2] for argv in runs]
+
+    def refuse(m):
+        raise AssertionError("a decision computed a characteristic polynomial")
+
+    monkeypatch.setattr("ctcsim.exact.matrices.char_poly", refuse)
+    assert [run(capsys, argv)[:2] for argv in runs] == expected
+    half = Rational(1, 2)
+    DensityMatrix(2, Matrix.from_rows([[half, half], [half, half]]))
 
 
 def test_huge_classical_register_is_refused_fast(tmp_path, capsys):

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, field_nullspace, field_rref, inverse, kron, random_quantum_program
+from conftest import (
+    cofactor_det,
+    field_nullspace,
+    field_rref,
+    inverse,
+    kron,
+    psd_by_char_poly,
+    random_quantum_program,
+)
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
@@ -14,7 +22,7 @@ from ctcsim.exact.matrices import (
     nullspace,
 )
 from ctcsim.exact.polys import Polynomial
-from ctcsim.exact.scalars import ZERO, GaussianRational, Rational
+from ctcsim.exact.scalars import IMAG_UNIT, ZERO, GaussianRational, Rational
 from ctcsim.superop import program_to_natural
 
 entry = st.tuples(
@@ -29,6 +37,8 @@ def square(n):
 
 
 square_any = st.integers(1, 4).flatmap(square)
+
+rational = st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda t: Rational(*t))
 
 
 @st.composite
@@ -129,6 +139,14 @@ def test_char_poly_known_2x2():
     assert char_poly(m) == Polynomial([-2, -5, 1])
 
 
+# the samples at t = 0, 1 and 2 are singular
+@example(Matrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 2]]), Rational(1, 2))
+@given(square_any, rational)
+def test_char_poly_evaluates_to_the_determinant(m, t):
+    shifted = Matrix.identity(m.rows).scale(t) - m
+    assert char_poly(m).evaluate(t) == cofactor_det(shifted.to_rows())
+
+
 @given(square_any)
 def test_nullspace_vectors_are_annihilated(m):
     basis = nullspace(m)
@@ -185,6 +203,45 @@ def test_psd_complex_example():
     # same off-diagonal but the diagonal is now too small
     m2 = Matrix.from_rows([[1, -i], [i, GaussianRational(Rational(1, 2))]])
     assert not hermitian_psd_check(m2)
+
+
+@st.composite
+def hermitian(draw):
+    """Complex Hermitian n x n matrices, n = 1-6: B^dagger D B - t I with B
+    of r <= n rows and D a real diagonal.  With D >= 0 and t = 0 this is a
+    Gram matrix, singular when r < n; a negative weight or a positive t
+    can make it indefinite, often still rank-deficient.  Sometimes one
+    diagonal entry is zeroed while its row stays nonzero."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    b = Matrix(r, n, draw(st.lists(entry, min_size=r * n, max_size=r * n)))
+    weights = draw(st.lists(st.sampled_from([1, 2, Rational(1, 2), -1]), min_size=r, max_size=r))
+    d = Matrix(r, r, (weights[i] if i == j else 0 for i in range(r) for j in range(r)))
+    t = draw(st.one_of(st.just(0), rational))
+    h = b.dagger() @ d @ b - Matrix.identity(n).scale(t)
+    if n == 1 or not draw(st.booleans()):
+        return h
+    rows = h.to_rows()
+    z = draw(st.integers(0, n - 1))
+    rows[z][z] = ZERO
+    if all(e.is_zero() for e in rows[z]):
+        w = (z + 1) % n
+        rows[z][w] = rows[w][z] = GaussianRational(1)
+    return Matrix.from_rows(rows)
+
+
+# one example per branch: a negative pivot after a positive one, a zero
+# pivot with a nonzero row, zero pivots with zero rows, and a complex
+# singular PSD matrix
+@example(Matrix.from_rows([[1, 2], [2, 1]]))
+@example(Matrix.from_rows([[0, 1], [1, 1]]))
+@example(Matrix.zeros(3, 3))
+@example(Matrix.from_rows([[1, -IMAG_UNIT], [IMAG_UNIT, 1]]))
+@given(hermitian())
+def test_psd_check_matches_char_poly_oracle(m):
+    verdict = hermitian_psd_check(m)
+    assert verdict.ok == psd_by_char_poly(m)
+    assert verdict.reason == (None if verdict.ok else "negative-eigenvalue")
 
 
 @given(square(3))

@@ -504,6 +504,32 @@ def test_parse_machine_errors():
         parse_machine("start a\nconfig a -> b\n")
     with pytest.raises(ValueError, match="both accepts and rejects"):
         MachineSpec(("a",), 0, (None,), frozenset({0}), frozenset({0}))
+    # reported from the first configuration that runs into the loop c2 -> c3
+    with pytest.raises(ValueError, match=r"never halts from c1 \(loops at c2\)"):
+        MachineSpec(("c0", "c1", "c2", "c3"), 0, (None, 2, 3, 2), frozenset({0}), frozenset())
+
+
+class CountingSuccessors(tuple):
+    """A successor tuple that counts its indexed lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_machine_validation_reads_each_successor_a_bounded_number_of_times():
+    # a line c0 -> c1 -> ... -> accept: walking from every configuration
+    # would read count^2 / 2 successors
+    count = 5000
+    successors = CountingSuccessors(tuple(range(1, count)) + (None,))
+    machine = MachineSpec(
+        tuple(f"c{i}" for i in range(count)), 0, successors,
+        frozenset({count - 1}), frozenset(),
+    )
+    assert successors.lookups <= 2 * count
+    assert machine.canonical_run()[1] == 1
 
 
 def test_pspace_gadget_accept_machine():
