@@ -7,6 +7,10 @@ route producing exact numbers.
 """
 
 import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package sources sit in src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ctcsim.dsl import parse_program
 from ctcsim.exact.scalars import Rational

@@ -5,8 +5,8 @@ For q = 1..3 this times the full decision on a rotation-plus-CNOT-chain
 family, as the median of three decisions per q.  q = 4 sits above the
 default dimension cap; the script shows the refusal, and --allow-large
 really attempts it once (the projector works on an exact 256x256 matrix;
-the q = 4 decision took 3.8-4.7 s on a 2-vCPU VM with Python 3.11 and the
-fractions backend, and q = 3 0.09-0.15 s).  That is the sparse case: this
+the q = 4 decision took 2.9-3.8 s on a 2-vCPU VM with Python 3.11 and the
+fractions backend, and q = 3 0.06-0.10 s).  That is the sparse case: this
 family's natural matrix has 2 nonzeros per column.  A dense q = 4 program,
 whose natural matrix is 50% nonzero and complex, did not finish within
 400 s on the same kind of machine.
@@ -16,6 +16,10 @@ import argparse
 import statistics
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing: the package sources sit in src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ResourceLimitError

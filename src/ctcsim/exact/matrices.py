@@ -10,13 +10,13 @@ Determinants, adjugates, nullspaces and the positive-semidefiniteness
 check run on a denominator-cleared copy of the matrix using fraction-free
 (Bareiss style) elimination over the Gaussian integers.  One Gauss-Jordan
 kernel serves both the adjugate, on [M | I] with pivots in the first n
-columns, and the nullspace, with pivots anywhere; results are rescaled to
-rationals once at the end.  The PSD check is the symmetric variant,
-pivoting down the diagonal.  Divisions inside the elimination are exact by
-the Sylvester minor identities; each one is checked with divmod so that a
-kernel bug surfaces as a loud error instead of a wrong answer.  The
-characteristic polynomial is interpolated from determinants; it serves
-the tests as the PSD check's oracle, not any decision.
+columns, and the nullspace, with pivots anywhere: _grid_kernel reads off
+Gaussian-integer columns, which ctcsim.fixpoint uses as they are, and
+nullspace rescales them to rationals once.  The PSD check is the symmetric
+variant, down the diagonal.  Each division is exact (Sylvester's identity)
+and checked with divmod, so a kernel bug surfaces as a loud error, not a
+wrong answer.  The characteristic polynomial, interpolated from
+determinants, is the tests' oracle for the PSD check, not any decision's.
 
 There is no matrix of polynomials: the resolvent oracle in ctcsim.fixpoint
 keeps its n^2 numerators as a row-major tuple of Polynomials, built
@@ -448,33 +448,43 @@ def hermitian_psd_check(m: Matrix) -> PsdVerdict:
     return PsdVerdict(True)
 
 
-def nullspace(m: Matrix) -> List[List[GaussianRational]]:
-    """Exact basis of the right nullspace, one vector per free column.
+def _grid_kernel(R: List[List[int]], I: List[List[int]], nc: int):
+    """Gaussian-integer right kernel of an integer grid, by _ffgj in place.
 
-    Runs the fraction-free Gauss-Jordan kernel over all columns of the
-    denominator-cleared matrix.  The vector for free column f has a 1 at
-    f, zeros at the other free columns, and minus the reduced row-echelon
-    entry at each pivot column, read off the integer grid with a single
-    division by the final pivot.
+    Returns the final pivot p, (1, 0) if there is none, and one (real,
+    imaginary) column per free column f: p at f, zero at the other free
+    columns and minus settled row t's entry at pivots[t].  That is p times
+    nullspace's vector, found with no division.
     """
-    nc = m.cols
-    R, I, _ = _int_grids(m)
     pivots, _ = _ffgj(R, I, nc)
-    pr, pi = (R[0][pivots[0]], I[0][pivots[0]]) if pivots else (1, 0)
-    # 1/p = (sr + si*i) / den, so each entry costs one exact division
-    sr, si, den = (pr, -pi, pr * pr + pi * pi) if pi else (1, 0, pr)
+    p = (R[0][pivots[0]], I[0][pivots[0]]) if pivots else (1, 0)
     taken = set(pivots)
-    basis = []
+    cols = []
     for fc in range(nc):
         if fc in taken:
             continue
-        v = [ZERO] * nc
-        v[fc] = ONE
+        vr, vi = [0] * nc, [0] * nc
+        vr[fc], vi[fc] = p
         for t, pc in enumerate(pivots):
-            ar, ai = R[t][fc], I[t][fc]
-            if ar or ai:
-                v[pc] = GaussianRational(
-                    Rational(ai * si - ar * sr, den), Rational(-ar * si - ai * sr, den)
-                )
-        basis.append(v)
-    return basis
+            vr[pc], vi[pc] = -R[t][fc], -I[t][fc]
+        cols.append((vr, vi))
+    return p, cols
+
+
+def nullspace(m: Matrix) -> List[List[GaussianRational]]:
+    """Exact basis of the right nullspace, one vector per free column.
+
+    The vector for free column f has a 1 at f, zeros at the other free
+    columns, and minus the reduced row-echelon entry at each pivot column:
+    the integer column of _grid_kernel on the denominator-cleared matrix,
+    with a single division by the final pivot per entry.
+    """
+    R, I, _ = _int_grids(m)
+    (pr, pi), cols = _grid_kernel(R, I, m.cols)
+    # 1/p = (sr + si*i) / den, so each entry costs one exact division
+    sr, si, den = (pr, -pi, pr * pr + pi * pi) if pi else (1, 0, pr)
+    return [
+        [GaussianRational(Rational(ar * sr - ai * si, den), Rational(ar * si + ai * sr, den))
+         if ar or ai else ZERO for ar, ai in zip(vr, vi)]
+        for vr, vi in cols
+    ]

@@ -16,9 +16,10 @@ kernel of K^dagger - I),
     R = V (W^dagger V)^(-1) W^dagger,
 
 and W^dagger V is invertible exactly when eigenvalue 1 is semisimple.
-fixed_point_projector builds R this way from two exact nullspaces and one
-small inverse, and certifies it with K V = V, W^dagger K = W^dagger and
-det(W^dagger V) != 0, which together give R^2 = R, K R = R K = R and
+fixed_point_projector builds R this way from the Gaussian-integer kernels
+of D(K - I) and its adjoint, D clearing K's denominators, and one small
+inverse.  It certifies them in integers with K V = V, W^dagger K = W^dagger
+and det(W^dagger V) != 0, which together give R^2 = R, K R = R K = R and
 R V = V without any n x n x n product.
 
 The paper-faithful route stays here as the oracle the tests compare
@@ -46,9 +47,10 @@ from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import (
     Matrix,
     SingularMatrixError,
+    _grid_kernel,
+    _int_grids,
     det_and_adjugate,
     hermitian_psd_check,
-    nullspace,
 )
 from .exact.polys import Polynomial, lagrange_interpolate
 from .exact.scalars import GaussianRational, ONE, ZERO
@@ -216,18 +218,27 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
             RuntimeWarning,
             stacklevel=2,
         )
-    # (K - I)^dagger = K^dagger - I, so one shift serves both kernels
-    shifted = k - Matrix.identity(n)
-    v = _columns(nullspace(shifted), n)
-    wd = _columns(nullspace(shifted.dagger()), n).dagger()
+    kr, ki, den = _int_grids(k)
+    # K's nonzero entries, and its adjoint: the transpose, imaginary negated
+    nz = [(i, j, x, y) for i, row in enumerate(zip(kr, ki))
+          for j, (x, y) in enumerate(zip(*row)) if x or y]
+    hr, hi = [list(c) for c in zip(*kr)], [[-x for x in c] for c in zip(*ki)]
+    for i in range(n):
+        kr[i][i] -= den
+        hr[i][i] -= den
+    # the kernels of D(K - I) and D(K^dagger - I), eliminated in place
+    v = _grid_kernel(kr, ki, n)[1]
+    w = _grid_kernel(hr, hi, n)[1]
     # rank(A) = rank(A^dagger), so only a kernel bug can split the sizes
-    if wd.rows != v.cols:
+    if len(w) != len(v):
         raise ContractViolationError(
-            f"right and left fixed spaces differ in dimension ({v.cols} vs "
-            f"{wd.rows})"
+            f"right and left fixed spaces differ in dimension ({len(v)} vs {len(w)})"
         )
-    if k @ v != v or wd @ k != wd:
+    if not (_fixes(nz, den, v) and _fixes([(j, i, x, -y) for i, j, x, y in nz], den, w)):
         raise ContractViolationError("kernel basis is not fixed by the channel")
+    # R does not change when a column of V or W is rescaled
+    wd = Matrix(len(w), n, (GaussianRational(re[i], -im[i]) for re, im in w for i in range(n)))
+    v = Matrix(n, len(v), (GaussianRational(re[i], im[i]) for i in range(n) for re, im in v))
     try:
         det, adj = det_and_adjugate(wd @ v)
     except SingularMatrixError:
@@ -247,9 +258,16 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
     return FixedPointProjector(r, phi)
 
 
-def _columns(vectors: List[List[GaussianRational]], n: int) -> Matrix:
-    """The n x len(vectors) matrix with the given vectors as columns."""
-    return Matrix(n, len(vectors), (v[i] for i in range(n) for v in vectors))
+def _fixes(nonzeros, den: int, cols) -> bool:
+    """Whether M v == den * v for each integer column (vr, vi); M as (i, j, re, im)."""
+    for vr, vi in cols:
+        outr, outi = [-den * a for a in vr], [-den * b for b in vi]
+        for i, j, x, y in nonzeros:
+            outr[i] += x * vr[j] - y * vi[j]
+            outi[i] += x * vi[j] + y * vr[j]
+        if any(outr) or any(outi):
+            return False
+    return True
 
 
 def compute_fixed_point(proj: FixedPointProjector, sigma: DensityMatrix) -> DensityMatrix:

@@ -67,11 +67,12 @@ class DensityMatrix:
         m = self.matrix
         if m.rows != self.dim or m.cols != self.dim:
             raise ValueError(f"expected {self.dim}x{self.dim}, got {m.rows}x{m.cols}")
-        if not m.is_hermitian():
+        # the PSD check tests Hermiticity first, so it runs once
+        verdict = hermitian_psd_check(m)
+        if verdict.reason == "not-hermitian":
             raise ValueError("density matrix must be Hermitian")
         if m.trace() != ONE:
             raise ValueError(f"density matrix must have trace 1, got {m.trace()}")
-        verdict = hermitian_psd_check(m)
         if not verdict:
             raise ValueError(f"density matrix must be PSD ({verdict.reason})")
 

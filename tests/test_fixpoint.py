@@ -155,23 +155,27 @@ def test_jordan_block_is_rejected_by_the_kernel_pair():
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_unfixed_kernel_vector_fails_the_certificate(monkeypatch, side):
-    """A kernel basis that K does not fix must raise, not yield a wrong R."""
+    """A kernel basis that K does not fix must raise, not yield a wrong R,
+    while the true basis passes."""
     import ctcsim.fixpoint as fixpoint
 
     calls = []
-    real = fixpoint.nullspace
+    real = fixpoint._grid_kernel
 
-    def corrupted(m):
-        basis = real(m)
+    def corrupted(re_rows, im_rows, nc):
+        pivot, cols = real(re_rows, im_rows, nc)
         if len(calls) == side:
-            basis[0] = [GaussianRational(1)] + [GaussianRational(0)] * (m.cols - 1)
-        calls.append(m)
-        return basis
+            cols[0] = ([1] + [0] * (nc - 1), [0] * nc)
+        calls.append(nc)
+        return pivot, cols
 
-    monkeypatch.setattr(fixpoint, "nullspace", corrupted)
-    # grandfather: K swaps |0><0| and |1><1|, so e0 is fixed from neither side
+    # rotation: K has denominator 25, so the integer certificate must scale
+    # the kernel by it, and e0 is fixed from neither side
+    channel = channel_of("rotation")
+    fixed_point_projector(channel)
+    monkeypatch.setattr(fixpoint, "_grid_kernel", corrupted)
     with pytest.raises(ContractViolationError, match="not fixed by the channel"):
-        fixed_point_projector(channel_of("grandfather"))
+        fixed_point_projector(channel)
     assert len(calls) == 2
 
 

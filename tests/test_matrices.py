@@ -16,6 +16,8 @@ from conftest import (
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
+    _grid_kernel,
+    _int_grids,
     char_poly,
     det_and_adjugate,
     hermitian_psd_check,
@@ -175,6 +177,33 @@ def test_nullspace_matches_field_oracle_on_channels(seed):
     eye = Matrix.identity(k.rows)
     for m in (k - eye, k.dagger() - eye):
         assert nullspace(m) == field_nullspace(m)
+
+
+@st.composite
+def kernel_sources(draw):
+    """n x n rational matrices, n = 1-6: zero, a dense complex draw (full
+    rank almost always) or a low-rank product, real in about half of its
+    draws, so the final pivot is complex in many draws and real in some."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "dense", "low-rank"]))
+    if kind == "zero":
+        return Matrix.zeros(n, n)
+    if kind == "dense":
+        return draw(square(n))
+    return draw(low_rank_product(st.just(n), st.just(n)))
+
+
+# rank one with the complex pivot 1 + i
+@example(Matrix.from_rows([[1 + IMAG_UNIT, 2], [2 + 2 * IMAG_UNIT, 4]]))
+@example(Matrix.zeros(3, 3))
+@example(Matrix.identity(4))
+@given(kernel_sources())
+def test_grid_kernel_over_its_pivot_is_the_field_nullspace(m):
+    re_rows, im_rows, _ = _int_grids(m)
+    (pr, pi), cols = _grid_kernel(re_rows, im_rows, m.cols)
+    pivot = GaussianRational(pr, pi)
+    scaled = [[GaussianRational(a, b) / pivot for a, b in zip(vr, vi)] for vr, vi in cols]
+    assert scaled == field_nullspace(m)
 
 
 def test_nullspace_known_projector():

@@ -64,6 +64,35 @@ def test_density_matrix_validation():
     assert mixed.matrix.trace() == GaussianRational(1)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # not Hermitian wins over a wrong trace and a negative eigenvalue
+        ([[1, 1], [0, -1]], "must be Hermitian"),
+        # a wrong trace wins over a negative eigenvalue
+        ([[1, 0], [0, -1]], "must have trace 1, got 0"),
+        ([[2, 0], [0, -1]], r"must be PSD \(negative-eigenvalue\)"),
+    ],
+    ids=["hermitian", "trace", "psd"],
+)
+def test_density_matrix_errors_keep_their_precedence(rows, message):
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(2, Matrix.from_rows(rows))
+
+
+def test_density_matrix_checks_hermiticity_once(monkeypatch):
+    calls = []
+    real = Matrix.is_hermitian
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(Matrix, "is_hermitian", counted)
+    DensityMatrix.maximally_mixed(4)
+    assert len(calls) == 1
+
+
 def kraus_of(name):
     return induced_kraus(parse_program(QUANTUM_DEMOS[name]))
 
