@@ -45,7 +45,9 @@ def chain_program(q: int) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-qubits", type=int, default=3, help="largest q to time")
+    # q = 4 is above the default cap and has its own branch below
+    ap.add_argument("--max-qubits", type=int, default=3, choices=range(1, 4),
+                    help="largest q to time")
     ap.add_argument(
         "--allow-large",
         action="store_true",

@@ -263,13 +263,15 @@ def _cmd_decide(args) -> int:
     return _DECISION_EXIT[verdict.decision]
 
 
-def _parse_params(pairs: List[str]) -> Dict[str, str]:
+def _parse_params(pairs: List[str], accepted: Tuple[str, ...]) -> Dict[str, str]:
     out: Dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--param needs key=value, got {pair!r}")
-        k, v = pair.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in pair.split("=", 1))
+        if k not in accepted:
+            raise ValueError(f"unknown --param key {k!r}; accepted: {', '.join(accepted) or 'none'}")
+        out[k] = v
     return out
 
 
@@ -383,19 +385,20 @@ def _demo_perturb(params: Dict[str, str], em: _Emitter):
     return data, lines, EXIT_OK
 
 
-# each demo stages its own timings and returns (data, lines, exit code)
+# name -> (demo, its --param keys); a demo stages timings, returns (data, lines, code)
 _DEMOS = {
-    "grandfather": _demo_grandfather,
-    "np-search": _demo_np_search,
-    "pspace": _demo_pspace,
-    "narrow": _demo_narrow,
-    "perturb": _demo_perturb,
+    "grandfather": (_demo_grandfather, ()),
+    "np-search": (_demo_np_search, ("n", "solutions")),
+    "pspace": (_demo_pspace, ("machine",)),
+    "narrow": (_demo_narrow, ("n", "eps", "witnesses")),
+    "perturb": (_demo_perturb, ("eps",)),
 }
 
 
 def _cmd_demo(args) -> int:
     em = _Emitter(args.json)
-    data, lines, code = _DEMOS[args.name](_parse_params(args.param), em)
+    demo, accepted = _DEMOS[args.name]
+    data, lines, code = demo(_parse_params(args.param, accepted), em)
     em.emit({"demo": args.name, **data}, lines)
     return code
 

@@ -9,14 +9,15 @@ matrices that operations build from scalars cost no conversion.
 Determinants, adjugates, nullspaces and the positive-semidefiniteness
 check run on a denominator-cleared copy of the matrix using fraction-free
 (Bareiss style) elimination over the Gaussian integers.  One Gauss-Jordan
-kernel serves both the adjugate, on [M | I] with pivots in the first n
-columns, and the nullspace, with pivots anywhere: _grid_kernel reads off
-Gaussian-integer columns, which ctcsim.fixpoint uses as they are, and
-nullspace rescales them to rationals once.  The PSD check is the symmetric
-variant, down the diagonal.  Each division is exact (Sylvester's identity)
-and checked with divmod, so a kernel bug surfaces as a loud error, not a
-wrong answer.  The characteristic polynomial, interpolated from
-determinants, is the tests' oracle for the PSD check, not any decision's.
+kernel, _ffgj, serves the adjugate, on [M | I] with pivots in the first
+n columns, and the nullspace, with pivots anywhere.  ctcsim.fixpoint uses
+the grid helpers _grid_kernel, _grid_adjugate and _grid_product as they
+are; det_and_adjugate and nullspace divide their grids once per entry.
+The PSD check is the symmetric variant, down the diagonal.  Each division
+is exact (Sylvester's identity) and checked with divmod, so a kernel bug
+surfaces as a loud error, not a wrong answer.  The characteristic
+polynomial, interpolated from determinants, is the tests' oracle for the
+PSD check, not any decision's.
 
 There is no matrix of polynomials: the resolvent oracle in ctcsim.fixpoint
 keeps its n^2 numerators as a row-major tuple of Polynomials, built
@@ -341,27 +342,11 @@ def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
     R, I, den = _int_grids(m)
-    for i in range(n):
-        R[i].extend(1 if j == i else 0 for j in range(n))
-        I[i].extend(0 for _ in range(n))
-    pivots, sign = _ffgj(R, I, n)
-    if len(pivots) < n:
-        raise SingularMatrixError(min(set(range(n)).difference(pivots)))
-    pr, pi = sign * R[0][0] if n else 1, sign * I[0][0] if n else 0
-    det_scale = Rational(1, den) ** n
-    det = GaussianRational(pr * det_scale, pi * det_scale)
-    # right block is sign * adj(den * m) = sign * den^(n-1) * adj(m)
-    adj_scale = Rational(sign, den ** (n - 1)) if n else Rational(sign)
-    adj = Matrix(
-        n,
-        n,
-        (
-            GaussianRational(R[i][n + j] * adj_scale, I[i][n + j] * adj_scale)
-            for i in range(n)
-            for j in range(n)
-        ),
-    )
-    return det, adj
+    (pr, pi), grid = _grid_adjugate(list(zip(R, I)))
+    # det(den m) = den^n det(m) and adj(den m) = den^(n-1) adj(m)
+    adj = _divided(grid, (den ** max(n - 1, 0), 0))
+    det = GaussianRational(Rational(pr, den ** n), Rational(pi, den ** n))
+    return det, Matrix(n, n, (e for row in adj for e in row))
 
 
 def char_poly(m: Matrix) -> Polynomial:
@@ -471,20 +456,58 @@ def _grid_kernel(R: List[List[int]], I: List[List[int]], nc: int):
     return p, cols
 
 
+def _grid_adjugate(rows):
+    """det(G) as (re, im) and adj(G) as (re, im) rows, by _ffgj on [G | I]
+    with G's rows extended in place (final pivot sign * det(G), right block
+    sign * adj(G)); a singular G raises SingularMatrixError."""
+    n = len(rows)
+    R, I = [r for r, _ in rows], [i for _, i in rows]
+    for i in range(n):
+        R[i].extend(1 if j == i else 0 for j in range(n))
+        I[i].extend(0 for _ in range(n))
+    pivots, sign = _ffgj(R, I, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(min(set(range(n)).difference(pivots)))
+    det = (sign * R[0][0], sign * I[0][0]) if n else (1, 0)
+    return det, [([sign * x for x in r[n:]], [sign * y for y in i[n:]]) for r, i in zip(R, I)]
+
+
+def _grid_product(a, b, cols: int):
+    """A B for Gaussian-integer grids as (re, im) row pairs, B with cols
+    columns; zeros of A and of B are skipped, so sparse grids stay cheap."""
+    bnz = [[(j, u, v) for j, (u, v) in enumerate(zip(*row)) if u or v] for row in b]
+    out = []
+    for xr, xi in a:
+        sr, si = [0] * cols, [0] * cols
+        for k, (x, y) in enumerate(zip(xr, xi)):
+            if x or y:
+                for j, u, v in bnz[k]:
+                    sr[j] += x * u - y * v
+                    si[j] += x * v + y * u
+        out.append((sr, si))
+    return out
+
+
+def _divided(vectors, p) -> List[List[GaussianRational]]:
+    """Gaussian-integer vectors (re, im) over p = (re, im), as x conj(p) / |p|^2:
+    one exact division per nonzero entry, and ZERO for a zero entry."""
+    pr, pi = p
+    sr, si, den = (pr, -pi, pr * pr + pi * pi) if pi else (1, 0, pr)
+    return [
+        [GaussianRational(Rational(ar * sr - ai * si, den), Rational(ar * si + ai * sr, den))
+         if ar or ai else ZERO for ar, ai in zip(vr, vi)]
+        for vr, vi in vectors
+    ]
+
+
 def nullspace(m: Matrix) -> List[List[GaussianRational]]:
     """Exact basis of the right nullspace, one vector per free column.
 
     The vector for free column f has a 1 at f, zeros at the other free
     columns, and minus the reduced row-echelon entry at each pivot column:
     the integer column of _grid_kernel on the denominator-cleared matrix,
-    with a single division by the final pivot per entry.
+    divided by the final pivot.
     """
     R, I, _ = _int_grids(m)
-    (pr, pi), cols = _grid_kernel(R, I, m.cols)
-    # 1/p = (sr + si*i) / den, so each entry costs one exact division
-    sr, si, den = (pr, -pi, pr * pr + pi * pi) if pi else (1, 0, pr)
-    return [
-        [GaussianRational(Rational(ar * sr - ai * si, den), Rational(ar * si + ai * sr, den))
-         if ar or ai else ZERO for ar, ai in zip(vr, vi)]
-        for vr, vi in cols
-    ]
+    p, cols = _grid_kernel(R, I, m.cols)
+    return _divided(cols, p)

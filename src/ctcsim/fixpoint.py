@@ -16,11 +16,11 @@ kernel of K^dagger - I),
     R = V (W^dagger V)^(-1) W^dagger,
 
 and W^dagger V is invertible exactly when eigenvalue 1 is semisimple.
-fixed_point_projector builds R this way from the Gaussian-integer kernels
-of D(K - I) and its adjoint, D clearing K's denominators, and one small
-inverse.  It certifies them in integers with K V = V, W^dagger K = W^dagger
-and det(W^dagger V) != 0, which together give R^2 = R, K R = R K = R and
-R V = V without any n x n x n product.
+fixed_point_projector builds R = V adj(G) W^dagger / det(G), G = W^dagger V,
+in Gaussian integers from the kernels of D(K - I) and its adjoint (D clears
+K's denominators) and divides once per entry.  It certifies the kernels in
+integers with K V = V, W^dagger K = W^dagger and det(G) != 0, which together
+give R^2 = R, K R = R K = R and R V = V without any n x n x n product.
 
 The paper-faithful route stays here as the oracle the tests compare
 against: symbolic_resolvent samples det and adjugate of I - (1 - z) K at
@@ -47,7 +47,10 @@ from .errors import ContractViolationError, ResourceLimitError
 from .exact.matrices import (
     Matrix,
     SingularMatrixError,
+    _divided,
+    _grid_adjugate,
     _grid_kernel,
+    _grid_product,
     _int_grids,
     det_and_adjugate,
     hermitian_psd_check,
@@ -200,12 +203,12 @@ def check_dim_cap(n: int, allow_large: bool = False) -> None:
 def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> FixedPointProjector:
     """Fixed-space projector R = V (W^dagger V)^(-1) W^dagger, certified.
 
-    V and W come from the exact right and left kernels of K - I.  Before
-    returning, K V = V and W^dagger K = W^dagger are checked exactly and
-    W^dagger V must be invertible, which makes R an idempotent that K
-    absorbs on both sides; R must also be trace-preserving and completely
-    positive.  Any failure means the input was not CPTP (or a kernel bug)
-    and raises a contract violation.
+    V and W, Gaussian-integer bases of the right and left kernels of K - I,
+    must satisfy K V = V and W^dagger K = W^dagger exactly, and G = W^dagger V
+    must be invertible: then R = V adj(G) W^dagger / det(G), formed on the
+    grid and divided once per entry, is an idempotent that K absorbs on both
+    sides.  R must also be trace-preserving and completely positive.  Any
+    failure means the input was not CPTP (or a kernel bug) and raises.
     """
     k = phi.k_matrix
     n = k.rows
@@ -236,17 +239,18 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
         )
     if not (_fixes(nz, den, v) and _fixes([(j, i, x, -y) for i, j, x, y in nz], den, w)):
         raise ContractViolationError("kernel basis is not fixed by the channel")
-    # R does not change when a column of V or W is rescaled
-    wd = Matrix(len(w), n, (GaussianRational(re[i], -im[i]) for re, im in w for i in range(n)))
-    v = Matrix(n, len(v), (GaussianRational(re[i], im[i]) for i in range(n) for re, im in v))
+    # W^dagger and V as (re, im) rows; R ignores how their columns are scaled
+    wd = [(re, [-y for y in im]) for re, im in w]
+    v = [([re[i] for re, _ in v], [im[i] for _, im in v]) for i in range(n)]
     try:
-        det, adj = det_and_adjugate(wd @ v)
+        det, adj = _grid_adjugate(_grid_product(wd, v, len(w)))
     except SingularMatrixError:
         raise ContractViolationError(
             "eigenvalue 1 is not semisimple (W^dagger V is singular); the "
             "source matrix cannot represent a channel"
         ) from None
-    r = v @ (adj.scale(ONE / det) @ wd)
+    rows = _grid_product(_grid_product(v, adj, len(w)), wd, n)
+    r = Matrix(n, n, (e for row in _divided(rows, det) for e in row))
     rs = Superoperator(phi.input_dim, r)
     if not rs.is_trace_preserving():
         raise ContractViolationError("fixed-point projector is not trace-preserving")

@@ -6,9 +6,10 @@ per-input circuit evaluation, walk-based cycle detection, iterated
 squaring for the canonical cycle, full-space gate matrices multiplied in
 order for the circuit unitary, literal conjugation by the circuit
 unitary, dense Kronecker products for the natural matrix, one
-interpolation per resolvent entry, the sign pattern of the characteristic
-polynomial for positive semidefiniteness) so agreement actually means
-something.
+interpolation per resolvent entry, rational matrix products over field
+kernels for the fixed-point projector, the sign pattern of the
+characteristic polynomial for positive semidefiniteness) so agreement
+actually means something.
 """
 
 import random
@@ -144,6 +145,25 @@ def random_rank_one_density(rng: random.Random, dim: int):
 def inverse(m: Matrix) -> Matrix:
     det, adj = det_and_adjugate(m)
     return adj.scale(ONE / det)
+
+
+def projector_by_field_kernels(k: Matrix) -> Matrix:
+    """R = V (W^dagger V)^(-1) W^dagger through Matrix operations, with V and
+    W the field nullspaces of K - I and K^dagger - I and the inverse read
+    off a field RREF, so no elimination of the package takes part."""
+    n = k.rows
+    v = field_nullspace(k - Matrix.identity(n))
+    w = field_nullspace(k.dagger() - Matrix.identity(n))
+    d = len(v)
+    vm = Matrix(n, d, (col[i] for i in range(n) for col in v))
+    wd = Matrix(d, n, (x.conj() for col in w for x in col))
+    # (W^dagger V)^(-1) is the right half of the field RREF of [W^dagger V | I]
+    g = (wd @ vm).to_rows()
+    rref, pivots = field_rref(
+        Matrix.from_rows([row + [ONE if j == i else ZERO for j in range(d)] for i, row in enumerate(g)])
+    )
+    assert pivots == list(range(d)), "W^dagger V is singular"
+    return vm @ (Matrix(d, d, (x for row in rref for x in row[d:])) @ wd)
 
 
 def resolvent_by_entry(m: Matrix) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:

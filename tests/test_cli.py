@@ -335,6 +335,17 @@ def test_demo_rejects_malformed_param(capsys):
     assert "key=value" in err
 
 
+@pytest.mark.parametrize(
+    "demo, param, accepted",
+    [("narrow", "epsilon=1/3", "n, eps, witnesses"), ("np-search", "N=3", "n, solutions"),
+     ("grandfather", "n=2", "none")],
+)
+def test_demo_rejects_unknown_param_key(capsys, demo, param, accepted):
+    code, out, err = run(capsys, ["demo", demo, "--param", param, "--json"])
+    assert code == 3
+    assert f"unknown --param key {param.split('=')[0]!r}; accepted: {accepted}" in err
+
+
 def test_unknown_demo_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "warpdrive"])

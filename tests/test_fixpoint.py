@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     fixed_space_basis,
     inverse,
+    projector_by_field_kernels,
     random_quantum_program,
     random_rank_one_density,
     resolvent_by_entry,
@@ -28,7 +29,13 @@ from ctcsim.fixpoint import (
     verify_fixed_point,
 )
 from ctcsim.gallery import QUANTUM_DEMOS
-from ctcsim.superop import DensityMatrix, Superoperator, program_to_natural
+from ctcsim.superop import (
+    DensityMatrix,
+    KrausCompletenessWarning,
+    Superoperator,
+    kraus_to_natural,
+    program_to_natural,
+)
 
 HALF = GaussianRational(Rational(1, 2))
 
@@ -188,6 +195,45 @@ def test_kernel_pair_matches_resolvent_limit(seed):
     assert proj.r_matrix == projector_limit(symbolic_resolvent(k)).r_matrix
 
 
+@example(seed=40, q=2)
+@example(seed=627, q=2)
+@given(st.integers(0, 100_000), st.integers(1, 2))
+def test_projector_matches_rational_kernel_oracle(seed, q):
+    """R on the integer grid equals V (W^dagger V)^(-1) W^dagger in rationals;
+    q = 2 reaches fixed spaces of dimension up to 16.  Few programs need a
+    row swap to eliminate W^dagger V (seed 40) or give it a complex
+    determinant (seed 627), so those two are pinned."""
+    rng = random.Random(seed)
+    phi = program_to_natural(random_quantum_program(rng, q=q))
+    assert fixed_point_projector(phi).r_matrix == projector_by_field_kernels(phi.k_matrix)
+
+
+@pytest.mark.parametrize("name", ["grandfather", "rotation", "entangler", "dephase"])
+def test_projector_ignores_complex_rescaling_of_the_kernels(monkeypatch, name):
+    """Scaling V's columns by Gaussian integers makes det(W^dagger V)
+    complex but leaves R unchanged, so the one division per entry must use
+    the conjugate of that determinant."""
+    import ctcsim.fixpoint as fixpoint
+
+    real = fixpoint._grid_kernel
+    calls = []
+
+    def rescaled(re_rows, im_rows, nc):
+        pivot, cols = real(re_rows, im_rows, nc)
+        if not calls:
+            cols = [([(1 + t) * x - 2 * y for x, y in zip(vr, vi)],
+                     [(1 + t) * y + 2 * x for x, y in zip(vr, vi)])
+                    for t, (vr, vi) in enumerate(cols)]
+        calls.append(nc)
+        return pivot, cols
+
+    channel = channel_of(name)
+    expected = fixed_point_projector(channel).r_matrix
+    monkeypatch.setattr(fixpoint, "_grid_kernel", rescaled)
+    assert fixed_point_projector(channel).r_matrix == expected
+    assert len(calls) == 2
+
+
 def test_projector_limit_needs_square_dimension():
     m = Matrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="perfect square"):
@@ -195,9 +241,27 @@ def test_projector_limit_needs_square_dimension():
 
 
 def test_non_trace_preserving_source_rejected():
+    # 2I fixes nothing (d = 0), so R = 0 and the trace check refuses it
     doubled = Superoperator(2, Matrix.identity(4).scale(2))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="trace-preserving"):
         fixed_point_projector(doubled)
+
+
+def test_incomplete_kraus_family_is_refused_as_not_trace_preserving():
+    with pytest.warns(KrausCompletenessWarning):
+        lossy = kraus_to_natural([Matrix.from_rows([[1, 0], [0, 0]])])
+    with pytest.raises(ContractViolationError, match="projector is not trace-preserving"):
+        fixed_point_projector(lossy)
+
+
+def test_transpose_map_is_refused_as_not_completely_positive():
+    # vec(rho^T) swaps the two off-diagonal entries: positive and trace-
+    # preserving, but its fixed-space projector has a non-PSD Choi matrix
+    transpose = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(
+        ContractViolationError, match=r"not completely positive \(negative-eigenvalue\)"
+    ):
+        fixed_point_projector(Superoperator(2, transpose))
 
 
 def test_dimension_cap():

@@ -16,6 +16,7 @@ from conftest import (
 from ctcsim.exact.matrices import (
     Matrix,
     SingularMatrixError,
+    _grid_adjugate,
     _grid_kernel,
     _int_grids,
     char_poly,
@@ -117,6 +118,54 @@ def test_singular_step_is_first_column_without_pivot(m):
         return
     assert not missing
     assert m @ adj == Matrix.identity(m.rows).scale(det)
+
+
+@st.composite
+def gaussian_grids(draw):
+    """Square Gaussian-integer grids, n = 0..6, mostly sparse.
+
+    A zero leading entry forces a row swap, a repeated row makes the grid
+    singular, and the imaginary parts make most determinants complex.
+    """
+    n = draw(st.integers(0, 6))
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    re = [draw(st.lists(part, min_size=n, max_size=n)) for _ in range(n)]
+    im = [draw(st.lists(part, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        re[0][0] = im[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        t = draw(st.integers(1, n - 1))
+        re[t], im[t] = list(re[0]), list(im[0])
+    return re, im
+
+
+@example(([[0, 1], [1, 0]], [[0, 0], [0, 0]]))
+@example(([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+@example(([[1, 2], [1, 2]], [[1, 0], [1, 0]]))
+@example(([], []))
+@given(gaussian_grids())
+def test_grid_adjugate_inverts_up_to_the_determinant(grid):
+    """G adj(G) = det(G) I in Gaussian integers, det matches the cofactor
+    oracle, and det_and_adjugate reads the same values off the same grid."""
+    re, im = grid
+    n = len(re)
+    m = Matrix(n, n, (GaussianRational(x, y) for rr, ri in zip(re, im) for x, y in zip(rr, ri)))
+    det = cofactor_det(m.to_rows()) if n else GaussianRational(1)
+    try:
+        (dr, di), adj = _grid_adjugate([(list(r), list(i)) for r, i in zip(re, im)])
+    except SingularMatrixError:
+        assert det.is_zero()
+        with pytest.raises(SingularMatrixError):
+            det_and_adjugate(m)
+        return
+    assert GaussianRational(dr, di) == det
+    for i in range(n):
+        for j in range(n):
+            sr = sum(re[i][k] * adj[k][0][j] - im[i][k] * adj[k][1][j] for k in range(n))
+            si = sum(re[i][k] * adj[k][1][j] + im[i][k] * adj[k][0][j] for k in range(n))
+            assert (sr, si) == ((dr, di) if i == j else (0, 0))
+    adj = Matrix(n, n, (GaussianRational(x, y) for rr, ri in adj for x, y in zip(rr, ri)))
+    assert det_and_adjugate(m) == (det, adj)
 
 
 @given(square_any)

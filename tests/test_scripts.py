@@ -27,3 +27,18 @@ def test_script_runs_without_pythonpath(tmp_path, name, expected):
     )
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
+
+
+@pytest.mark.parametrize("value", ["0", "4"])
+def test_scale_gate_refuses_qubits_outside_its_timing_loop(value):
+    """q = 4 has its own branch, so a timing loop past 3 would die on the cap;
+    such a value is a usage error instead of a traceback."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scale_gate.py"), "--allow-large", "--max-qubits", value],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
+    assert "Traceback" not in done.stderr
