@@ -12,7 +12,9 @@ check run on a denominator-cleared copy of the matrix using fraction-free
 kernel, _ffgj, serves the adjugate, on [M | I] with pivots in the first
 n columns, and the nullspace, with pivots anywhere.  ctcsim.fixpoint uses
 the grid helpers _grid_kernel, _grid_adjugate and _grid_product as they
-are; det_and_adjugate and nullspace divide their grids once per entry.
+are, and ctcsim.semantics takes each recurrent class's stationary vector
+from _grid_kernel on the class's cleared block; det_and_adjugate and
+nullspace divide their grids once per entry.
 The PSD check is the symmetric variant, down the diagonal.  Each division
 is exact (Sylvester's identity) and checked with divmod, so a kernel bug
 surfaces as a loud error, not a wrong answer.  The characteristic

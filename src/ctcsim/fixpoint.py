@@ -39,6 +39,8 @@ average of channel iterates, used only to cross-check the exact path.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
@@ -200,6 +202,16 @@ def check_dim_cap(n: int, allow_large: bool = False) -> None:
         )
 
 
+def _outside_stacklevel() -> int:
+    """The warnings.warn stacklevel, seen from this function's caller, of
+    the first frame outside the ctcsim package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> FixedPointProjector:
     """Fixed-space projector R = V (W^dagger V)^(-1) W^dagger, certified.
 
@@ -219,7 +231,7 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
             f"this takes several seconds for a sparse channel, and a dense "
             f"one may not finish within minutes",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     kr, ki, den = _int_grids(k)
     # K's nonzero entries, and its adjoint: the transpose, imaginary negated

@@ -36,6 +36,7 @@ amplifies a single witness among exponentially many candidates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,8 +52,9 @@ from .circuits import (
     classical_table,
 )
 from .errors import ContractViolationError, ResourceLimitError
-from .exact.matrices import Matrix, hermitian_psd_check, nullspace
-from .exact.scalars import Rational, ONE, ZERO
+from .exact.matrices import Matrix, _grid_kernel, hermitian_psd_check
+from .exact.matrices import nullspace  # noqa: F401  perfbench/tracing.py wraps it under this name
+from .exact.scalars import Rational, ZERO
 from .fixpoint import (
     FixedPointProjector,
     check_dim_cap,
@@ -339,9 +341,11 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
 
     The recurrent classes are the terminal strongly connected components
     of the support graph; each carries a unique stationary distribution,
-    found by exact elimination, and the stationary set is their convex
-    hull.  The canonical representative averages the classes, which for
-    the identity chain gives the uniform distribution.
+    and the stationary set is their convex hull.  A class's block P_cc is
+    cleared to the integer grid D (P_cc - I), D the lcm of the block's
+    denominators, and _grid_kernel's one integer column v is normalised
+    once, pi_i = v_i / sum(v).  The canonical representative averages the
+    classes, which for the identity chain gives the uniform distribution.
     """
     defects = chain.column_defects()
     if defects:
@@ -360,29 +364,23 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
     per_class = []
     for members in member_lists:
         k = len(members)
-        sub = Matrix(
-            k,
-            k,
-            (
-                chain.matrix.entry(members[i], members[j]) - (ONE if i == j else ZERO)
-                for i in range(k)
-                for j in range(k)
-            ),
-        )
-        basis = nullspace(sub)
+        block = [[entries[i * dim + j].re for j in members] for i in members]
+        den = math.lcm(*(int(e.denominator) for row in block for e in row))
+        grid = [[int(e.numerator) * (den // int(e.denominator)) for e in row] for row in block]
+        for i in range(k):
+            grid[i][i] -= den
+        basis = _grid_kernel(grid, [[0] * k for _ in range(k)], k)[1]
         if len(basis) != 1:
             raise ContractViolationError(
                 f"recurrent class {members} has stationary dimension {len(basis)}"
             )
-        vals = []
-        for e in basis[0]:
-            if e.im:
-                raise ContractViolationError("stationary solve left the reals")
-            vals.append(e.re)
-        total = sum(vals, Rational(0))
+        vals, imag = basis[0]
+        if any(imag):
+            raise ContractViolationError("stationary solve left the reals")
+        total = sum(vals)
         if total == 0:
-            raise ContractViolationError("stationary solve returned the zero vector")
-        pi = [v / total for v in vals]
+            raise ContractViolationError("stationary solve returned a vector that sums to zero")
+        pi = [Rational(v, total) for v in vals]
         if any(v < 0 for v in pi):
             raise ContractViolationError("stationary solve produced negative mass")
         probs = [Rational(0)] * dim

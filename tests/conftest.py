@@ -8,8 +8,9 @@ order for the circuit unitary, literal conjugation by the circuit
 unitary, dense Kronecker products for the natural matrix, one
 interpolation per resolvent entry, rational matrix products over field
 kernels for the fixed-point projector, the sign pattern of the
-characteristic polynomial for positive semidefiniteness) so agreement
-actually means something.
+characteristic polynomial for positive semidefiniteness, the Matrix
+nullspace of P_cc - I for a recurrent class's stationary distribution)
+so agreement actually means something.
 """
 
 import random
@@ -267,8 +268,8 @@ def output_bit_of(circuit: StochasticCircuit, x: int) -> int:
 
 def cofactor_det(rows: List[List[GaussianRational]]) -> GaussianRational:
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n == 0:
+        return ONE  # the empty product
     total = ZERO
     for j in range(n):
         e = rows[0][j]
@@ -430,6 +431,62 @@ def random_class_graph(rng: random.Random, classes: int, transient: int) -> List
     for v, ws in enumerate(succ):
         relabelled[perm[v]] = sorted(perm[w] for w in ws)
     return relabelled
+
+
+def random_planted_chain(
+    rng: random.Random, bits: int, classes: int
+) -> Tuple[StochasticMatrix, List[List[int]]]:
+    """Column-stochastic chain on 2^bits states with the given number of
+    recurrent classes planted (each a cycle with extra internal edges),
+    every other state transient, plus the sorted member lists.  Each
+    class draws its column denominators from its own base, 7, 9, 11 or 8
+    times 1..3, so the classes' common denominators differ."""
+    dim = 1 << bits
+    order = list(range(dim))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, dim), classes - 1)) if classes > 1 else []
+    ends = cuts + [rng.randint(cuts[-1] + 1 if cuts else 1, dim)]
+    planted = [order[a:b] for a, b in zip([0] + cuts, ends)]
+    recurrent, transient = order[: ends[-1]], order[ends[-1]:]
+    bases = rng.sample([7, 9, 11, 8], 4)
+    cols: Dict[int, Dict[int, Rational]] = {}
+
+    def split(j: int, succ: List[int], base: int) -> None:
+        den = base * rng.randint(1, 3)
+        cut = sorted(rng.sample(range(1, den), len(succ) - 1))
+        cols[j] = {s: Rational(b - a, den) for s, a, b in zip(succ, [0] + cut, cut + [den])}
+
+    for members, base in zip(planted, bases):
+        for i, j in enumerate(members):
+            succ = {members[(i + 1) % len(members)]}
+            succ |= {rng.choice(members) for _ in range(rng.randint(0, 2))}
+            split(j, sorted(succ), base)
+    for t, j in enumerate(transient):
+        # one edge towards a class or an earlier transient state, so every
+        # transient state drains into a class; later edges may go anywhere
+        succ = {rng.choice(recurrent + transient[:t])}
+        succ |= {rng.randrange(dim) for _ in range(rng.randint(0, 2))}
+        split(j, sorted(succ), rng.choice(bases))
+    matrix = Matrix(dim, dim, (cols[j].get(i, 0) for i in range(dim) for j in range(dim)))
+    return StochasticMatrix(dim, matrix), sorted(sorted(c) for c in planted)
+
+
+def stationary_by_nullspace(chain: StochasticMatrix, members: List[int]) -> List[Rational]:
+    """A recurrent class's stationary distribution through exact matrices:
+    P_cc - I as a Matrix, its nullspace, divided by the sum."""
+    k = len(members)
+    sub = Matrix(
+        k,
+        k,
+        (
+            chain.matrix.entry(members[i], members[j]) - (ONE if i == j else ZERO)
+            for i in range(k)
+            for j in range(k)
+        ),
+    )
+    (basis,) = nullspace(sub)
+    total = sum((e.re for e in basis), Rational(0))
+    return [e.re / total for e in basis]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

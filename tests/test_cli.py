@@ -170,14 +170,23 @@ def test_decide_json_is_deterministic(tmp_path, capsys):
 # -- fixpoint ----------------------------------------------------------------
 
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
-    def broken(m):
+    def broken(R, I, nc):
         raise _KernelBug("inexact division in fraction-free elimination")
 
-    monkeypatch.setattr("ctcsim.semantics.nullspace", broken)
+    monkeypatch.setattr("ctcsim.semantics._grid_kernel", broken)
     code = run_cli(["decide", write(tmp_path, DOUBLY_STOCHASTIC)])
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL == 6
     assert err.startswith("internal error: inexact division")
+
+
+def test_negative_stationary_mass_is_a_contract_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "ctcsim.semantics._grid_kernel", lambda R, I, nc: ((1, 0), [([2, -1], [0, 0])])
+    )
+    code = run_cli(["decide", write(tmp_path, DOUBLY_STOCHASTIC)])
+    assert code == 3
+    assert "stationary solve produced negative mass" in capsys.readouterr().err
 
 
 def test_acceptance_mismatch_is_a_contract_violation(tmp_path, capsys, monkeypatch):

@@ -29,6 +29,7 @@ from ctcsim.fixpoint import (
     verify_fixed_point,
 )
 from ctcsim.gallery import QUANTUM_DEMOS
+from ctcsim.semantics import quantum_decide
 from ctcsim.superop import (
     DensityMatrix,
     KrausCompletenessWarning,
@@ -271,13 +272,20 @@ def test_dimension_cap():
 
 
 def test_allow_large_warns_and_computes(monkeypatch):
-    monkeypatch.setattr("ctcsim.fixpoint.DIM_CAP", 8)
+    monkeypatch.setattr("ctcsim.fixpoint.DIM_CAP", 2)
     small = Superoperator(4, Matrix.identity(16))
-    with pytest.raises(ResourceLimitError, match="8x8"):
+    with pytest.raises(ResourceLimitError, match="2x2"):
         fixed_point_projector(small)
-    with pytest.warns(RuntimeWarning, match="several seconds"):
+    with pytest.warns(RuntimeWarning, match="several seconds") as caught:
         proj = fixed_point_projector(small, allow_large=True)
     assert proj.r_matrix == Matrix.identity(16)
+    # the warning names the caller's line, not one inside the package
+    assert caught[0].filename == __file__
+    program = parse_program(QUANTUM_DEMOS["grandfather"])
+    with pytest.warns(RuntimeWarning, match="several seconds") as caught:
+        verdict = quantum_decide(program, allow_large=True)
+    assert verdict.certified
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_grandfather_fixed_point_is_even_mixture():

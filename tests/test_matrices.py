@@ -25,7 +25,7 @@ from ctcsim.exact.matrices import (
     nullspace,
 )
 from ctcsim.exact.polys import Polynomial
-from ctcsim.exact.scalars import IMAG_UNIT, ZERO, GaussianRational, Rational
+from ctcsim.exact.scalars import IMAG_UNIT, ONE, ZERO, GaussianRational, Rational
 from ctcsim.superop import program_to_natural
 
 entry = st.tuples(
@@ -69,6 +69,10 @@ def determinant(m: Matrix) -> GaussianRational:
 @given(square_any)
 def test_determinant_matches_cofactor_oracle(m):
     assert determinant(m) == cofactor_det(m.to_rows())
+
+
+def test_cofactor_determinant_of_the_empty_matrix_is_one():
+    assert cofactor_det([]) == ONE
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(square(n), square(n))))
@@ -150,7 +154,7 @@ def test_grid_adjugate_inverts_up_to_the_determinant(grid):
     re, im = grid
     n = len(re)
     m = Matrix(n, n, (GaussianRational(x, y) for rr, ri in zip(re, im) for x, y in zip(rr, ri)))
-    det = cofactor_det(m.to_rows()) if n else GaussianRational(1)
+    det = cofactor_det(m.to_rows())
     try:
         (dr, di), adj = _grid_adjugate([(list(r), list(i)) for r, i in zip(re, im)])
     except SingularMatrixError:

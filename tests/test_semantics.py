@@ -10,10 +10,12 @@ from conftest import (
     dense_accept_operator,
     off_cycle_mass,
     random_class_graph,
+    random_planted_chain,
     random_quantum_program,
     random_rank_one_density,
     random_table,
     squaring_cycle,
+    stationary_by_nullspace,
     table_to_stochastic,
     walk_cyclic_nodes,
 )
@@ -303,6 +305,42 @@ def test_stationary_classes_are_stationary(seed, bits):
                 total += chain.matrix.entry(i, j).re * cls.probabilities[j]
             assert total == cls.probabilities[i]
     assert res.multiple == (len(res.classes) > 1)
+
+
+@given(st.integers(0, 100_000), st.integers(1, 4), st.integers(1, 4))
+def test_stationary_classes_match_the_nullspace_oracle(seed, bits, classes):
+    """Each class, solved on its own integer grid, gives the distribution
+    that P_cc - I's Matrix nullspace gives, and the canonical one is their
+    average; the classes carry different common denominators."""
+    chain, planted = random_planted_chain(random.Random(seed), bits, min(classes, 1 << bits))
+    res = stationary_distribution(chain)
+    assert len(res.classes) == len(planted)
+    assert res.multiple == (len(planted) > 1)
+    avg = [Rational(0)] * chain.dim
+    for cls, members in zip(res.classes, planted):
+        expected = [Rational(0)] * chain.dim
+        for m, v in zip(members, stationary_by_nullspace(chain, members)):
+            expected[m] = v
+        assert list(cls.probabilities) == expected
+        avg = [a + v / len(planted) for a, v in zip(avg, expected)]
+    assert list(res.distribution.probabilities) == avg
+
+
+@pytest.mark.parametrize(
+    "cols, message",
+    [
+        ([([1, 1], [0, 0]), ([1, -1], [0, 0])], "stationary dimension 2"),
+        ([([1, 1], [0, 1])], "left the reals"),
+        ([([1, -1], [0, 0])], "sums to zero"),
+        ([([2, -1], [0, 0])], "negative mass"),
+    ],
+    ids=["two-columns", "imaginary", "zero-sum", "negative"],
+)
+def test_stationary_refuses_a_bad_kernel(monkeypatch, cols, message):
+    monkeypatch.setattr("ctcsim.semantics._grid_kernel", lambda R, I, nc: ((1, 0), cols))
+    chain = StochasticMatrix(2, Matrix.from_rows([[HALF, HALF], [HALF, HALF]]))
+    with pytest.raises(ContractViolationError, match=message):
+        stationary_distribution(chain)
 
 
 def test_stationary_rejects_bad_chains():
