@@ -15,7 +15,9 @@ the grid helpers _grid_kernel, _grid_adjugate and _grid_product as they
 are, and ctcsim.semantics takes each recurrent class's stationary vector
 from _grid_kernel on the class's cleared block; det_and_adjugate and
 nullspace divide their grids once per entry.
-The PSD check is the symmetric variant, down the diagonal.  Each division
+The PSD check, _grid_psd, is the symmetric variant, down the diagonal, after
+Hermiticity is compared on the integers; ctcsim.fixpoint and
+ctcsim.semantics run it on grids they build themselves.  Each division
 is exact (Sylvester's identity) and checked with divmod, so a kernel bug
 surfaces as a loud error, not a wrong answer.  The characteristic
 polynomial, interpolated from determinants, is the tests' oracle for the
@@ -183,16 +185,6 @@ class Matrix:
             (self.entries[i * self.cols + i] for i in range(self.rows)), ZERO
         )
 
-    def is_hermitian(self) -> bool:
-        if not self.is_square:
-            return False
-        n = self.cols
-        for i in range(n):
-            for j in range(i, n):
-                if self.entries[i * n + j] != self.entries[j * n + i].conj():
-                    return False
-        return True
-
     def is_identity(self) -> bool:
         if not self.is_square:
             return False
@@ -232,22 +224,12 @@ class Matrix:
 
 def _int_grids(m: Matrix) -> Tuple[List[List[int]], List[List[int]], int]:
     """Clear denominators: return integer re/im grids and the denominator."""
-    den = 1
-    for e in m.entries:
-        den = math.lcm(den, int(e.re.denominator), int(e.im.denominator))
-    re_rows: List[List[int]] = []
-    im_rows: List[List[int]] = []
     c = m.cols
-    for i in range(m.rows):
-        rrow = []
-        irow = []
-        for j in range(c):
-            e = m.entries[i * c + j]
-            rrow.append(int(e.re.numerator) * (den // int(e.re.denominator)))
-            irow.append(int(e.im.numerator) * (den // int(e.im.denominator)))
-        re_rows.append(rrow)
-        im_rows.append(irow)
-    return re_rows, im_rows, den
+    parts = [x for e in m.entries for x in (e.re, e.im)]
+    den = math.lcm(*{int(x.denominator) for x in parts})
+    flat = [int(x.numerator) * (den // int(x.denominator)) if x else 0 for x in parts]
+    rows = [flat[2 * c * i : 2 * c * (i + 1)] for i in range(m.rows)]
+    return [r[0::2] for r in rows], [r[1::2] for r in rows], den
 
 
 class _KernelBug(RuntimeError):
@@ -404,10 +386,18 @@ def hermitian_psd_check(m: Matrix) -> PsdVerdict:
     """
     if not m.is_square:
         return PsdVerdict(False, "not-square")
-    if not m.is_hermitian():
-        return PsdVerdict(False, "not-hermitian")
-    R, I, _ = _int_grids(m)
-    n = m.rows
+    return _grid_psd(*_int_grids(m)[:2])
+
+
+def _grid_psd(R: List[List[int]], I: List[List[int]]) -> PsdVerdict:
+    """hermitian_psd_check on a square Gaussian-integer grid, in place: a
+    positive multiple of a matrix gets that matrix's verdict.  Hermiticity
+    is compared on the integers first."""
+    n = len(R)
+    for i in range(n):
+        riR, riI = R[i], I[i]
+        if any(riR[j] != R[j][i] or riI[j] != -I[j][i] for j in range(i, n)):
+            return PsdVerdict(False, "not-hermitian")
     prev = 1
     for k in range(n):
         rkR, rkI = R[k], I[k]

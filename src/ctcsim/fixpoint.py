@@ -16,11 +16,13 @@ kernel of K^dagger - I),
     R = V (W^dagger V)^(-1) W^dagger,
 
 and W^dagger V is invertible exactly when eigenvalue 1 is semisimple.
-fixed_point_projector builds R = V adj(G) W^dagger / det(G), G = W^dagger V,
-in Gaussian integers from the kernels of D(K - I) and its adjoint (D clears
-K's denominators) and divides once per entry.  It certifies the kernels in
-integers with K V = V, W^dagger K = W^dagger and det(G) != 0, which together
-give R^2 = R, K R = R K = R and R V = V without any n x n x n product.
+fixed_point_projector builds N = V adj(G) W^dagger, G = W^dagger V, in
+Gaussian integers from the primitive kernel columns of D(K - I) and its
+adjoint (D clears K's denominators), and R = N / det(G) by one division per
+entry.  It certifies the kernels in integers with K V = V, W^dagger K =
+W^dagger and det(G) != 0, which together give R^2 = R, K R = R K = R and
+R V = V without any n x n x n product, and certifies R's trace preservation
+and complete positivity on N, before that division.
 
 The paper-faithful route stays here as the oracle the tests compare
 against: symbolic_resolvent samples det and adjugate of I - (1 - z) K at
@@ -53,13 +55,15 @@ from .exact.matrices import (
     _grid_adjugate,
     _grid_kernel,
     _grid_product,
+    _grid_psd,
     _int_grids,
     det_and_adjugate,
-    hermitian_psd_check,
+    hermitian_psd_check,  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
 )
 from .exact.polys import Polynomial, lagrange_interpolate
 from .exact.scalars import GaussianRational, ONE, ZERO
-from .superop import DensityMatrix, Superoperator, choi_matrix, unvec, vec
+from .superop import DensityMatrix, Superoperator, unvec, vec
+from .superop import choi_matrix  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
 
 if TYPE_CHECKING:
     import numpy as np
@@ -215,11 +219,13 @@ def _outside_stacklevel() -> int:
 def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> FixedPointProjector:
     """Fixed-space projector R = V (W^dagger V)^(-1) W^dagger, certified.
 
-    V and W, Gaussian-integer bases of the right and left kernels of K - I,
-    must satisfy K V = V and W^dagger K = W^dagger exactly, and G = W^dagger V
-    must be invertible: then R = V adj(G) W^dagger / det(G), formed on the
-    grid and divided once per entry, is an idempotent that K absorbs on both
-    sides.  R must also be trace-preserving and completely positive.  Any
+    V and W, primitive Gaussian-integer bases of the right and left kernels
+    of K - I, must satisfy K V = V and W^dagger K = W^dagger exactly, and
+    G = W^dagger V must be invertible: then R = N / det(G), N = V adj(G)
+    W^dagger, is an idempotent that K absorbs on both sides.  R must also be
+    TP and CP, read off the grid N before its one division per entry: N's
+    rows at the diagonal indices sum to det(G) vec(I)^T, and the Choi
+    reshuffle of N conj(det(G)) = |det(G)|^2 R is Hermitian and PSD.  Any
     failure means the input was not CPTP (or a kernel bug) and raises.
     """
     k = phi.k_matrix
@@ -241,9 +247,10 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
     for i in range(n):
         kr[i][i] -= den
         hr[i][i] -= den
-    # the kernels of D(K - I) and D(K^dagger - I), eliminated in place
-    v = _grid_kernel(kr, ki, n)[1]
-    w = _grid_kernel(hr, hi, n)[1]
+    # the kernels of D(K - I) and D(K^dagger - I), eliminated in place, each
+    # column made primitive: R ignores how V's and W's columns are scaled
+    v = _primitive(_grid_kernel(kr, ki, n)[1])
+    w = _primitive(_grid_kernel(hr, hi, n)[1])
     # rank(A) = rank(A^dagger), so only a kernel bug can split the sizes
     if len(w) != len(v):
         raise ContractViolationError(
@@ -251,7 +258,7 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
         )
     if not (_fixes(nz, den, v) and _fixes([(j, i, x, -y) for i, j, x, y in nz], den, w)):
         raise ContractViolationError("kernel basis is not fixed by the channel")
-    # W^dagger and V as (re, im) rows; R ignores how their columns are scaled
+    # W^dagger and V as (re, im) rows
     wd = [(re, [-y for y in im]) for re, im in w]
     v = [([re[i] for re, _ in v], [im[i] for _, im in v]) for i in range(n)]
     try:
@@ -262,16 +269,33 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
             "source matrix cannot represent a channel"
         ) from None
     rows = _grid_product(_grid_product(v, adj, len(w)), wd, n)
-    r = Matrix(n, n, (e for row in _divided(rows, det) for e in row))
-    rs = Superoperator(phi.input_dim, r)
-    if not rs.is_trace_preserving():
+    s, (dr, di) = phi.input_dim, det
+    # TP: vec(I)^T N = det * vec(I)^T; vec(I)^T sums N's rows k * s + k
+    diagonal = rows[:: s + 1]
+    traced = [(sum(re[c] for re, _ in diagonal), sum(im[c] for _, im in diagonal))
+              for c in range(n)]
+    if traced != [det if c % (s + 1) == 0 else (0, 0) for c in range(n)]:
         raise ContractViolationError("fixed-point projector is not trace-preserving")
-    verdict = hermitian_psd_check(choi_matrix(rs))
+    # CP: N conj(det), or N sign(det) for a real det, is a positive multiple
+    # of R, and choi_matrix's reshuffle of it the same multiple of R's Choi
+    # matrix: entry (i s + k, j s + l) is N[k s + l, i s + j]
+    ur, ui = (dr, -di) if di else (1 if dr > 0 else -1, 0)
+    at = [[((a % s) * s + b % s, (a // s) * s + b // s) for b in range(n)] for a in range(n)]
+    cr = [[rows[k][0][c] * ur - rows[k][1][c] * ui for k, c in row] for row in at]
+    ci = [[rows[k][0][c] * ui + rows[k][1][c] * ur for k, c in row] for row in at]
+    verdict = _grid_psd(cr, ci)
     if not verdict:
         raise ContractViolationError(
             f"fixed-point projector is not completely positive ({verdict.reason})"
         )
+    r = Matrix(n, n, (e for row in _divided(rows, det) for e in row))
     return FixedPointProjector(r, phi)
+
+
+def _primitive(cols):
+    """Each integer column (re, im) divided by the gcd of all its parts."""
+    return [([x // g for x in vr], [y // g for y in vi])
+            for vr, vi in cols for g in (math.gcd(*vr, *vi),)]
 
 
 def _fixes(nonzeros, den: int, cols) -> bool:

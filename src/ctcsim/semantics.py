@@ -52,7 +52,7 @@ from .circuits import (
     classical_table,
 )
 from .errors import ContractViolationError, ResourceLimitError
-from .exact.matrices import Matrix, _grid_kernel, hermitian_psd_check
+from .exact.matrices import Matrix, _grid_kernel, _grid_psd, _int_grids
 from .exact.matrices import nullspace  # noqa: F401  perfbench/tracing.py wraps it under this name
 from .exact.scalars import Rational, ZERO
 from .fixpoint import (
@@ -440,13 +440,17 @@ def stochastic_decide(program: CTCProgram) -> Verdict:
 def _accept_operator(program: CTCProgram) -> Matrix:
     """POVM element A = sum of A_y^dagger A_y over the Kraus operators
     whose ancilla readout y has the output bit set, so that the acceptance
-    probability at CTC state rho is trace(A rho)."""
-    pos = program.circuit.cr_qubits - 1 - program.output_bit
-    kraus = induced_kraus(program)
-    a = Matrix.zeros(kraus[0].rows, kraus[0].cols)
-    for y, a_y in enumerate(kraus):
-        if (y >> pos) & 1:
-            a = a + a_y.dagger() @ a_y
+    probability at CTC state rho is trace(A rho).  Built once and kept on
+    the (frozen) program, as circuit_unitary keeps U on its circuit."""
+    a = program.__dict__.get("_accept")
+    if a is None:
+        pos = program.circuit.cr_qubits - 1 - program.output_bit
+        kraus = induced_kraus(program)
+        a = Matrix.zeros(kraus[0].rows, kraus[0].cols)
+        for y, a_y in enumerate(kraus):
+            if (y >> pos) & 1:
+                a = a + a_y.dagger() @ a_y
+        program.__dict__["_accept"] = a
     return a
 
 
@@ -481,7 +485,7 @@ def acceptance_operator(program: CTCProgram, proj: FixedPointProjector) -> Matri
     n = 1 << program.circuit.ctc_qubits
     a = _accept_operator(program)
     h = unvec(proj.r_matrix.transpose() @ vec(a.transpose()), n).transpose()
-    if not h.is_hermitian():
+    if h != h.dagger():
         raise ContractViolationError("acceptance operator is not Hermitian")
     return h
 
@@ -498,6 +502,18 @@ def program_projector(program: CTCProgram, allow_large: bool = False) -> FixedPo
         check_dim_cap(1 << (2 * q), allow_large)
     phi = program_to_natural(program)
     return fixed_point_projector(phi, allow_large=allow_large)
+
+
+def _beyond(grid, t: Rational, sign: int) -> bool:
+    """Whether sign * (H - t I) is PSD, given H's cleared grid (re, im, D):
+    the test runs on sign * (d_t D H - n_t D I), where t = n_t / d_t."""
+    gr, gi, den = grid
+    nt, dt = sign * int(t.numerator), sign * int(t.denominator)
+    return bool(_grid_psd(
+        [[dt * x - (nt * den if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(gr)],
+        [[dt * y for y in row] for row in gi],
+    ))
 
 
 def quantum_decide(program: CTCProgram, allow_large: bool = False) -> Verdict:
@@ -533,12 +549,12 @@ def quantum_decide(program: CTCProgram, allow_large: bool = False) -> Verdict:
 
     evals = np.linalg.eigvalsh(to_complex_array(h))
     lo, hi = float(evals[0]), float(evals[-1])
+    grid = _int_grids(h)
     # each p_acc test is a necessary condition that skips the exact check
     # when it fails
-    eye = Matrix.identity(n)
-    if p_acc >= ACCEPT_THRESHOLD and hermitian_psd_check(h - eye.scale(ACCEPT_THRESHOLD)):
+    if p_acc >= ACCEPT_THRESHOLD and _beyond(grid, ACCEPT_THRESHOLD, 1):
         decision = "accept"
-    elif p_acc <= REJECT_THRESHOLD and hermitian_psd_check(eye.scale(REJECT_THRESHOLD) - h):
+    elif p_acc <= REJECT_THRESHOLD and _beyond(grid, REJECT_THRESHOLD, -1):
         decision = "reject"
     else:
         decision = "ambiguous"

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import (
 )
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ContractViolationError, ResourceLimitError
-from ctcsim.exact.matrices import Matrix
+from ctcsim.exact.matrices import Matrix, hermitian_psd_check
 from ctcsim.exact.polys import Polynomial
 from ctcsim.exact.scalars import GaussianRational, Rational
 from ctcsim.fixpoint import (
@@ -34,6 +35,8 @@ from ctcsim.superop import (
     DensityMatrix,
     KrausCompletenessWarning,
     Superoperator,
+    choi_matrix,
+    induced_kraus,
     kraus_to_natural,
     program_to_natural,
 )
@@ -209,30 +212,117 @@ def test_projector_matches_rational_kernel_oracle(seed, q):
     assert fixed_point_projector(phi).r_matrix == projector_by_field_kernels(phi.k_matrix)
 
 
+# ways to rescale column t of V, one entry (x, y) at a time
+RESCALINGS = {
+    # by the Gaussian integer (1 + t) + 2i: det(W^dagger V) turns complex
+    "gaussian": lambda t, x, y: ((1 + t) * x - 2 * y, (1 + t) * y + 2 * x),
+    # column 0 negated: det(W^dagger V) turns real and negative
+    "negated": lambda t, x, y: (-x, -y) if t == 0 else (x, y),
+    # column 0 times i: det(W^dagger V) turns imaginary
+    "times-i": lambda t, x, y: (-y, x) if t == 0 else (x, y),
+}
+
+
 @pytest.mark.parametrize("name", ["grandfather", "rotation", "entangler", "dephase"])
 def test_projector_ignores_complex_rescaling_of_the_kernels(monkeypatch, name):
-    """Scaling V's columns by Gaussian integers makes det(W^dagger V)
-    complex but leaves R unchanged, so the one division per entry must use
-    the conjugate of that determinant."""
+    """Rescaling V's columns by Gaussian integers leaves R unchanged but
+    moves det(W^dagger V) off the positive reals, so the one division per
+    entry must use the conjugate of that determinant, and the trace and
+    Choi certificates on R's numerator must carry its phase."""
     import ctcsim.fixpoint as fixpoint
 
-    real = fixpoint._grid_kernel
-    calls = []
+    real_kernel, real_adjugate = fixpoint._grid_kernel, fixpoint._grid_adjugate
+    dets = []
 
-    def rescaled(re_rows, im_rows, nc):
-        pivot, cols = real(re_rows, im_rows, nc)
-        if not calls:
-            cols = [([(1 + t) * x - 2 * y for x, y in zip(vr, vi)],
-                     [(1 + t) * y + 2 * x for x, y in zip(vr, vi)])
-                    for t, (vr, vi) in enumerate(cols)]
-        calls.append(nc)
-        return pivot, cols
+    def recorded(rows):
+        det, adj = real_adjugate(rows)
+        dets.append(det)
+        return det, adj
 
+    monkeypatch.setattr(fixpoint, "_grid_adjugate", recorded)
     channel = channel_of(name)
     expected = fixed_point_projector(channel).r_matrix
-    monkeypatch.setattr(fixpoint, "_grid_kernel", rescaled)
-    assert fixed_point_projector(channel).r_matrix == expected
-    assert len(calls) == 2
+    (plain_re, plain_im), = dets
+    # every demo's primitive kernel pair has a positive determinant
+    assert plain_re > 0 and not plain_im
+    for scaling, scale in RESCALINGS.items():
+        calls = []
+
+        def rescaled(re_rows, im_rows, nc):
+            pivot, cols = real_kernel(re_rows, im_rows, nc)
+            if not calls:
+                cols = [tuple(map(list, zip(*(scale(t, x, y) for x, y in zip(vr, vi)))))
+                        for t, (vr, vi) in enumerate(cols)]
+            calls.append(nc)
+            return pivot, cols
+
+        monkeypatch.setattr(fixpoint, "_grid_kernel", rescaled)
+        assert fixed_point_projector(channel).r_matrix == expected, scaling
+        assert len(calls) == 2
+        det_re, det_im = dets[-1]
+        if scaling == "negated":
+            assert det_re < 0 and not det_im
+        elif scaling == "times-i":
+            assert not det_re and det_im
+        else:
+            assert det_im
+
+
+def old_certificate(side: int, r: Matrix) -> str:
+    """The Fraction route the grid certificate replaced, kept as its
+    oracle: the error fixed_point_projector raises for projector r, or ""
+    when r is trace-preserving and completely positive."""
+    rs = Superoperator(side, r)
+    if not rs.is_trace_preserving():
+        return "fixed-point projector is not trace-preserving"
+    verdict = hermitian_psd_check(choi_matrix(rs))
+    if not verdict:
+        return f"fixed-point projector is not completely positive ({verdict.reason})"
+    return ""
+
+
+def transposed_after(phi: Superoperator) -> Superoperator:
+    """rho -> Phi(rho)^T: positive and trace-preserving, not always CP."""
+    n, k = phi.input_dim, phi.k_matrix
+    size = n * n
+    swap = [(a % n) * n + a // n for a in range(size)]
+    entries = (k.entry(swap[a], b) for a in range(size) for b in range(size))
+    return Superoperator(n, Matrix(size, size, entries))
+
+
+def lossy(program) -> Superoperator:
+    """The program's Kraus family with its last operator dropped, or a lone
+    operator shrunk: CP but not trace-preserving."""
+    kraus = induced_kraus(program)
+    kraus = kraus[:-1] if len(kraus) > 1 else [kraus[0].scale(Rational(3, 5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KrausCompletenessWarning)
+        return kraus_to_natural(kraus)
+
+
+@example(seed=0, q=1, variant="transpose")
+@example(seed=0, q=1, variant="lossy")
+@given(
+    st.integers(0, 100_000), st.integers(1, 2), st.sampled_from(["channel", "transpose", "lossy"])
+)
+def test_grid_certificate_matches_the_matrix_route(seed, q, variant):
+    """fixed_point_projector's TP and CP verdicts, read off R's Gaussian-
+    integer numerator, equal is_trace_preserving and the PSD check of
+    choi_matrix on the field-kernel R, with the same error message."""
+    program = random_quantum_program(random.Random(seed), q=q)
+    phi = program_to_natural(program)
+    if variant == "transpose":
+        phi = transposed_after(phi)
+    elif variant == "lossy":
+        phi = lossy(program)
+    r = projector_by_field_kernels(phi.k_matrix)
+    try:
+        got, message = fixed_point_projector(phi).r_matrix, ""
+    except ContractViolationError as exc:
+        message = str(exc)
+    assert message == old_certificate(phi.input_dim, r)
+    if not message:
+        assert got == r
 
 
 def test_projector_limit_needs_square_dimension():
@@ -263,6 +353,18 @@ def test_transpose_map_is_refused_as_not_completely_positive():
         ContractViolationError, match=r"not completely positive \(negative-eigenvalue\)"
     ):
         fixed_point_projector(Superoperator(2, transpose))
+
+
+def test_non_hermitian_choi_matrix_is_refused_as_not_completely_positive():
+    # K fixes vec(|0><1|) but not vec(|1><0|): R is trace-preserving, and
+    # its Choi matrix pairs a 1 with a 0 across the diagonal
+    half_dephase = Superoperator(2, Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+    ))
+    message = old_certificate(2, projector_by_field_kernels(half_dephase.k_matrix))
+    assert message.endswith("(not-hermitian)")
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        fixed_point_projector(half_dephase)
 
 
 def test_dimension_cap():

@@ -326,6 +326,17 @@ def test_psd_check_matches_char_poly_oracle(m):
     assert verdict.reason == (None if verdict.ok else "negative-eigenvalue")
 
 
+# an imaginary diagonal entry, and a symmetric matrix that is not Hermitian
+@example(Matrix.from_rows([[IMAG_UNIT, 0], [0, 1]]))
+@example(Matrix.from_rows([[1, IMAG_UNIT], [IMAG_UNIT, 1]]))
+@given(st.one_of(hermitian(), square_any))
+def test_psd_check_reads_hermiticity_off_the_grid(m):
+    """The integer comparison reports not-hermitian exactly when m differs
+    from its conjugate transpose."""
+    verdict = hermitian_psd_check(m)
+    assert (verdict.reason == "not-hermitian") == (m != m.dagger())
+
+
 @given(square(3))
 def test_gram_matrices_are_psd(m):
     assert hermitian_psd_check(m.dagger() @ m)

@@ -27,6 +27,12 @@ def test_script_runs_without_pythonpath(tmp_path, name, expected):
     )
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
+    if name == "scale_gate.py":
+        # q = 1..3 decide through the fixed-point projector, so their
+        # verdict lines pin it too: (q, verdict) after the timing column
+        rows = [line.split(None, 4) for line in done.stdout.splitlines()[1:4]]
+        verdict = "ambiguous, p_acc = 1/2, range [0.500, 0.500]"
+        assert [(row[0], row[4]) for row in rows] == [(q, verdict) for q in "123"]
 
 
 @pytest.mark.parametrize("value", ["0", "4"])

@@ -28,7 +28,8 @@ from ctcsim.circuits import (
 )
 from ctcsim.dsl import parse_program
 from ctcsim.errors import ContractViolationError
-from ctcsim.exact.matrices import Matrix
+from ctcsim import semantics
+from ctcsim.exact.matrices import Matrix, _int_grids, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
 from ctcsim.fixpoint import compute_fixed_point, fixed_point_projector, verify_fixed_point
 from ctcsim.gallery import MACHINE_DEMOS, QUANTUM_DEMOS
@@ -52,6 +53,7 @@ from ctcsim.semantics import (
     terminal_classes,
     stochastic_decide,
     _accept_operator,
+    _beyond,
 )
 from ctcsim.superop import DensityMatrix, program_to_natural
 
@@ -450,6 +452,59 @@ def test_threshold_is_decided_exactly():
     assert v.exact_accept_probability == 1
     lo, hi = v.probability_range
     assert 2 / 3 - 1e-6 < lo < 2 / 3 and hi == 1.0
+
+
+def random_hermitian(rng: random.Random, n: int, t: Rational, kind: str) -> Matrix:
+    """A rational Hermitian n x n matrix: random entries, or t I plus
+    ("above") or minus ("below") a rank-one PSD matrix, whose eigenvalue t
+    then has multiplicity n - 1 or more."""
+
+    def q():
+        return Rational(rng.randint(-9, 9), rng.randint(1, 6))
+
+    if kind == "random":
+        rows = [[GaussianRational(q()) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = GaussianRational(q(), q())
+                rows[j][i] = rows[i][j].conj()
+        return Matrix.from_rows(rows)
+    v = [GaussianRational(q(), q()) for _ in range(n)]
+    outer = Matrix(n, n, (a * b.conj() for a in v for b in v))
+    tie = Matrix.identity(n).scale(t)
+    return tie + outer if kind == "above" else tie - outer
+
+
+@given(
+    st.integers(0, 100_000),
+    st.integers(1, 4),
+    st.sampled_from([REJECT_THRESHOLD, ACCEPT_THRESHOLD]),
+    st.sampled_from(["random", "above", "below"]),
+    st.sampled_from([1, -1]),
+)
+def test_threshold_shift_on_the_grid_matches_the_matrix_route(seed, n, t, kind, sign):
+    """The shift of H's one cleared grid decides sign * (H - t I) >= 0 as
+    hermitian_psd_check does on the Fraction matrix, ties at t included."""
+    h = random_hermitian(random.Random(seed), n, t, kind)
+    shifted = (h - Matrix.identity(n).scale(t)).scale(sign)
+    assert _beyond(_int_grids(h), t, sign) == bool(hermitian_psd_check(shifted))
+
+
+def test_acceptance_element_is_built_once_per_decision(monkeypatch):
+    """accept_probability and acceptance_operator share one A per program."""
+    builds = []
+    real = semantics.induced_kraus
+
+    def counted(program):
+        builds.append(program)
+        return real(program)
+
+    monkeypatch.setattr(semantics, "induced_kraus", counted)
+    program = quantum_demo("entangler")
+    quantum_decide(program)
+    assert len(builds) == 1
+    quantum_decide(program)
+    assert len(builds) == 1
 
 
 def test_acceptance_operator_grandfather_is_half_identity():

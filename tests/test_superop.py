@@ -13,6 +13,7 @@ from conftest import (
     random_rank_one_density,
 )
 from ctcsim.dsl import parse_program
+from ctcsim.exact import matrices
 from ctcsim.exact.matrices import Matrix, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
 from ctcsim.fixpoint import to_complex_array
@@ -81,16 +82,18 @@ def test_density_matrix_errors_keep_their_precedence(rows, message):
 
 
 def test_density_matrix_checks_hermiticity_once(monkeypatch):
+    """Hermiticity is compared once, on the integer grid that the PSD
+    elimination then runs on."""
     calls = []
-    real = Matrix.is_hermitian
+    real = matrices._grid_psd
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(re_rows, im_rows):
+        calls.append(len(re_rows))
+        return real(re_rows, im_rows)
 
-    monkeypatch.setattr(Matrix, "is_hermitian", counted)
+    monkeypatch.setattr(matrices, "_grid_psd", counted)
     DensityMatrix.maximally_mixed(4)
-    assert len(calls) == 1
+    assert calls == [4]
 
 
 def kraus_of(name):
