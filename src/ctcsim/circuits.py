@@ -17,10 +17,11 @@ Constructors check shape only.  Semantic properties (unitarity of custom
 gates, stochasticity, table totality) are reported by the validator in
 the dsl module and enforced again by the operations that rely on them.
 Elaboration refuses a circuit above the fixed caps: QUBIT_CAP qubits for
-the unitary, BIT_CAP bits for the function table.  The unitary is built
-one basis column at a time: each column is a sparse {basis index:
-amplitude} map pushed through the gate list, and only the entries that
-survive are written into the dense exact matrix.
+the unitary U, BIT_CAP bits for the function table.  U is built one basis
+column at a time: each column is a sparse {basis index: amplitude} map
+pushed through the gate list, and only the entries that survive are
+written into the dense exact matrix.  Decisions build only the 2^q
+columns x * 2^r that the CTC channel reads, the isometry U (I (x) |0..0>).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "StochasticCircuit",
     "CTCProgram",
     "circuit_unitary",
+    "circuit_isometry",
     "classical_table",
     "QUBIT_CAP",
     "BIT_CAP",
@@ -160,22 +162,30 @@ class QuantumCircuit:
     def total_qubits(self) -> int:
         return self.ctc_qubits + self.cr_qubits
 
+    # built once per circuit; read through circuit_unitary and
+    # circuit_isometry, which check the qubit cap first
     @cached_property
     def _unitary(self) -> Matrix:
-        """Built once per circuit; read through circuit_unitary, which
-        checks the qubit cap first.  Every basis column starts as {j: 1}
-        and goes through the gates as a sparse column; the surviving
-        entries are written into one entry list."""
+        return self._columns(range(1 << self.total_qubits))
+
+    @cached_property
+    def _isometry(self) -> Matrix:
+        return self._columns(range(0, 1 << self.total_qubits, 1 << self.cr_qubits))
+
+    def _columns(self, inputs: range) -> Matrix:
+        """U's columns at the given inputs, in order.  Each basis column
+        starts as {j: 1} and goes through the gates as a sparse column;
+        the surviving entries are written into one entry list."""
         n = self.total_qubits
-        dim = 1 << n
-        columns: List[Dict[int, GaussianRational]] = [{j: ONE} for j in range(dim)]
+        dim, width = 1 << n, len(inputs)
+        columns: List[Dict[int, GaussianRational]] = [{j: ONE} for j in inputs]
         for app in self.gates:
             columns = _apply_gate(columns, n, app)
-        entries = [ZERO] * (dim * dim)
-        for j, column in enumerate(columns):
+        entries = [ZERO] * (dim * width)
+        for k, column in enumerate(columns):
             for i, amp in column.items():
-                entries[i * dim + j] = amp
-        return Matrix(dim, dim, entries)
+                entries[i * width + k] = amp
+        return Matrix(dim, width, entries)
 
 
 Wire = Tuple[str, int]  # bank "ctc" | "cr" | "tmp", index
@@ -374,16 +384,28 @@ def circuit_unitary(circuit: QuantumCircuit) -> Matrix:
     sizes since the matrix is dense and exact.  Column j is basis state j
     pushed through the gates as a sparse column, so a gate costs work in
     proportion to the column's nonzeros, not to the dimension.  The matrix
-    is built on the first call and kept on the (frozen) circuit, so the
-    several layers of one decision share it.
+    is built on the first call and kept on the (frozen) circuit, so later
+    calls share it.  Decisions read circuit_isometry instead.
     """
+    _check_qubit_cap(circuit)
+    return circuit._unitary
+
+
+def circuit_isometry(circuit: QuantumCircuit) -> Matrix:
+    """Exact Stinespring isometry V = U (I (x) |0..0>), 2**(q+r) x 2**q:
+    column x is U's column x * 2**r.  Only those columns are pushed
+    through the gates; the cap and the caching are circuit_unitary's."""
+    _check_qubit_cap(circuit)
+    return circuit._isometry
+
+
+def _check_qubit_cap(circuit: QuantumCircuit) -> None:
     n = circuit.total_qubits
     if n > QUBIT_CAP:
         raise ResourceLimitError(
             f"circuit on {n} qubits would need a 2^{n}x2^{n} exact "
             f"matrix (cap is {QUBIT_CAP} qubits)"
         )
-    return circuit._unitary
 
 
 def _apply_gate(columns, n, app: GateApplication):

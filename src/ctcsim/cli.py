@@ -13,10 +13,10 @@ violation, 4 ambiguous verdict, 5 resource cap, 6 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-import traceback
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import CTCProgram, StochasticMatrix, classical_table
@@ -433,6 +433,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process, built on first use; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctcsim",
@@ -495,6 +496,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return EXIT_SEMANTIC
     except Exception as exc:
         # a kernel bug must never read as a verdict, least of all "reject"
+        import traceback  # kept off the import path, like numpy
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL

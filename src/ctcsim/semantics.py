@@ -48,7 +48,7 @@ from .circuits import (
     FunctionTable,
     StochasticCircuit,
     StochasticMatrix,
-    circuit_unitary,  # noqa: F401  perfbench/tracing.py wraps it under this name
+    circuit_unitary,  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
     classical_table,
 )
 from .errors import ContractViolationError, ResourceLimitError
@@ -441,7 +441,7 @@ def _accept_operator(program: CTCProgram) -> Matrix:
     """POVM element A = sum of A_y^dagger A_y over the Kraus operators
     whose ancilla readout y has the output bit set, so that the acceptance
     probability at CTC state rho is trace(A rho).  Built once and kept on
-    the (frozen) program, as circuit_unitary keeps U on its circuit."""
+    the (frozen) program, as circuit_isometry keeps V on its circuit."""
     a = program.__dict__.get("_accept")
     if a is None:
         pos = program.circuit.cr_qubits - 1 - program.output_bit
@@ -498,7 +498,7 @@ def program_projector(program: CTCProgram, allow_large: bool = False) -> FixedPo
     entries, is built.  The channel is the projector's source.
     """
     q = program.circuit.ctc_qubits
-    if q <= circuits.QUBIT_CAP:  # past it, circuit_unitary refuses at once
+    if q <= circuits.QUBIT_CAP:  # past it, circuit_isometry refuses at once
         check_dim_cap(1 << (2 * q), allow_large)
     phi = program_to_natural(program)
     return fixed_point_projector(phi, allow_large=allow_large)

@@ -24,7 +24,8 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .circuits import CTCProgram, circuit_unitary
+from .circuits import CTCProgram, circuit_isometry
+from .circuits import circuit_unitary  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
 from .exact.matrices import Matrix, hermitian_psd_check
 from .exact.scalars import GaussianRational, ONE, Rational, ZERO
 
@@ -202,11 +203,12 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
 
 def induced_kraus(program: CTCProgram) -> List[Matrix]:
     """Kraus family of the CTC-register channel: one operator per ancilla
-    readout value y, with entries A_y[x', x] = U[x' * 2^r + y, x * 2^r]."""
+    readout value y, with entries A_y[x', x] = U[x' * 2^r + y, x * 2^r],
+    read as V[x' * 2^r + y, x] from the isometry V, so U is never built."""
     if program.kind != "quantum":
         raise ValueError("only quantum programs induce a Kraus family")
     circuit = program.circuit
-    u = circuit_unitary(circuit)
+    v = circuit_isometry(circuit)
     q, r = circuit.ctc_qubits, circuit.cr_qubits
     n, anc = 1 << q, 1 << r
     out = []
@@ -215,7 +217,7 @@ def induced_kraus(program: CTCProgram) -> List[Matrix]:
             Matrix(
                 n,
                 n,
-                (u.entry(xp * anc + y, x * anc) for xp in range(n) for x in range(n)),
+                (v.entry(xp * anc + y, x) for xp in range(n) for x in range(n)),
             )
         )
     return out

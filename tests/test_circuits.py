@@ -24,6 +24,7 @@ from ctcsim.circuits import (
     QuantumGate,
     StochasticCircuit,
     StochasticMatrix,
+    circuit_isometry,
     circuit_unitary,
     classical_table,
 )
@@ -148,10 +149,14 @@ def test_cnot_wire_order_matters():
 
 def test_unitary_qubit_cap():
     circuit = QuantumCircuit(5, 4, (), ())
-    with pytest.raises(ResourceLimitError):
-        circuit_unitary(circuit)
+    for build in (circuit_unitary, circuit_isometry):
+        with pytest.raises(
+            ResourceLimitError, match=r"would need a 2\^9x2\^9 exact matrix \(cap is 8 qubits\)"
+        ):
+            build(circuit)
     # the cap is checked before any matrix is built
     assert "_unitary" not in circuit.__dict__
+    assert "_isometry" not in circuit.__dict__
 
 
 def test_unitary_is_built_once_per_circuit(monkeypatch):
@@ -162,6 +167,21 @@ def test_unitary_is_built_once_per_circuit(monkeypatch):
     monkeypatch.setattr("ctcsim.circuits.QUBIT_CAP", 2)
     with pytest.raises(ResourceLimitError, match="cap is 2 qubits"):
         circuit_unitary(prog.circuit)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(0, 2))
+def test_isometry_is_the_zero_ancilla_columns_of_the_unitary(seed, q, r):
+    """Column x of V is column x * 2^r of the full-space gate product,
+    so V^dagger V = I, and the full unitary is not built on the way."""
+    circuit = random_quantum_program(random.Random(seed), q=q, r=r).circuit
+    v = circuit_isometry(circuit)
+    assert circuit_isometry(circuit) is v
+    assert "_unitary" not in circuit.__dict__
+    u = embedded_unitary(circuit)
+    dim, n = 1 << (q + r), 1 << q
+    assert (v.rows, v.cols) == (dim, n)
+    assert all(v.entry(i, x) == u.entry(i, x << r) for i in range(dim) for x in range(n))
+    assert (v.dagger() @ v).is_identity()
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2))

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import ctcsim.semantics
-from ctcsim.circuits import CTCProgram
+from ctcsim import cli
+from ctcsim.circuits import CTCProgram, QuantumCircuit
 from ctcsim.cli import EXIT_INTERNAL, main, run_cli
 from ctcsim.dsl import parse_program, program_to_text
-from ctcsim.errors import ContractViolationError
+from ctcsim.errors import ContractViolationError, ResourceLimitError
 from ctcsim.exact.matrices import Matrix, _KernelBug
 from ctcsim.exact.scalars import Rational, rational_from_text, scalar_from_text
 from ctcsim.gallery import QUANTUM_DEMOS
@@ -178,6 +179,8 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL == 6
     assert err.startswith("internal error: inexact division")
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("_KernelBug: inexact division in fraction-free elimination")
 
 
 def test_negative_stationary_mass_is_a_contract_violation(tmp_path, capsys, monkeypatch):
@@ -412,6 +415,31 @@ def test_cap_is_checked_before_the_natural_matrix(tmp_path, capsys, monkeypatch,
     assert "1024x1024" in err
 
 
+TEN_QUBITS = """quantum
+registers ctc=2 cr=8
+apply X ctc[0]
+output cr[0]
+"""
+
+
+def test_ten_qubit_circuit_is_refused_before_any_column_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(circuit, inputs):
+        raise AssertionError("columns built for an oversized circuit")
+
+    monkeypatch.setattr(QuantumCircuit, "_columns", refuse)
+    code, out, err = run(capsys, ["decide", write(tmp_path, TEN_QUBITS)])
+    assert code == 5
+    assert err == (
+        "resource cap: circuit on 10 qubits would need a 2^10x2^10 exact matrix "
+        "(cap is 8 qubits)\n"
+    )
+    program = parse_program(TEN_QUBITS)
+    with pytest.raises(ResourceLimitError):
+        quantum_decide(program)
+    assert not {"_unitary", "_isometry"} & set(program.circuit.__dict__)
+    assert "_accept" not in program.__dict__
+
+
 def test_huge_register_is_refused_without_work(tmp_path, capsys):
     text = FIVE_LOOPED.replace("ctc=5", "ctc=" + "9" * 30)
     code, out, err = run(capsys, ["decide", write(tmp_path, text)])
@@ -536,6 +564,64 @@ def test_no_decision_reaches_the_characteristic_polynomial(tmp_path, capsys, mon
     assert [run(capsys, argv)[:2] for argv in runs] == expected
     half = Rational(1, 2)
     DensityMatrix(2, Matrix.from_rows([[half, half], [half, half]]))
+
+
+def test_no_decision_builds_the_full_unitary(tmp_path, capsys, monkeypatch):
+    # the channel reads the isometry; circuit_unitary serves library callers
+    paths = [write(tmp_path, text, f"{name}.ctc") for name, text in QUANTUM_DEMOS.items()]
+    runs = [[command, path] for path in paths for command in ("decide", "fixpoint")]
+    runs += [["oracle", "--steps", "10", path] for path in paths]
+    runs += [["demo", "grandfather"]]
+    expected = [run(capsys, argv)[:2] for argv in runs]
+
+    def refuse(circuit):
+        raise AssertionError("a decision built the full unitary")
+
+    monkeypatch.setattr(QuantumCircuit, "_unitary", property(refuse))
+    assert [run(capsys, argv)[:2] for argv in runs] == expected
+
+
+def _usage_error(capsys, parse):
+    with pytest.raises(SystemExit) as exc:
+        parse(["decide"])
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    usage = _usage_error(capsys, run_cli)
+    assert usage[0] == 2
+    assert usage == _usage_error(capsys, cli._build_parser.__wrapped__().parse_args)
+    code, doc, err = run_json(
+        capsys, ["demo", "np-search", "--param", "n=3", "--param", "solutions=101"]
+    )
+    assert (code, doc["data"]["n"]) == (0, 3)
+    # a --param list from the call before must not reach this one
+    code, doc, err = run_json(capsys, ["demo", "np-search"])
+    assert (code, doc["data"]["n"], doc["data"]["solutions"]) == (0, 2, ["10"])
+    assert run(capsys, ["decide", write(tmp_path, GRANDFATHER)])[0] == 4
+    assert _usage_error(capsys, run_cli) == usage
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# imports the CLI in a fresh interpreter: the internal-error branch's
+# traceback module stays unloaded and no argparse tree is built yet
+LEAN_IMPORT_PROBE = """
+import sys
+import ctcsim.cli
+print("traceback" in sys.modules, ctcsim.cli._build_parser.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_parser_and_loads_no_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "0"]
 
 
 def test_huge_classical_register_is_refused_fast(tmp_path, capsys):

@@ -23,6 +23,7 @@ from ctcsim.circuits import (
     ClassicalCircuit,
     CTCProgram,
     FunctionTable,
+    QuantumCircuit,
     StochasticCircuit,
     StochasticMatrix,
 )
@@ -505,6 +506,24 @@ def test_acceptance_element_is_built_once_per_decision(monkeypatch):
     assert len(builds) == 1
     quantum_decide(program)
     assert len(builds) == 1
+
+
+def test_decision_builds_the_isometry_once_and_never_the_unitary(monkeypatch):
+    """A decision pushes the 2^q zero-ancilla columns through the gates
+    once per circuit; the 2^(q+r) columns of U are never pushed."""
+    widths = []
+    real = QuantumCircuit._columns
+
+    def counted(circuit, inputs):
+        widths.append(len(inputs))
+        return real(circuit, inputs)
+
+    monkeypatch.setattr(QuantumCircuit, "_columns", counted)
+    program = quantum_demo("entangler")
+    quantum_decide(program)
+    quantum_decide(program)
+    assert widths == [1 << program.circuit.ctc_qubits]
+    assert "_unitary" not in program.circuit.__dict__
 
 
 def test_acceptance_operator_grandfather_is_half_identity():
