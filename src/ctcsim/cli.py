@@ -491,7 +491,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ContractViolationError, ValueError, KeyError) as exc:
+    except (ContractViolationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except Exception as exc:

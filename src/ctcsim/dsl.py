@@ -110,6 +110,11 @@ class _Reader:
             self.pos += 1
         return item
 
+    def __iter__(self):
+        """The remaining lines, each taken by next, so a loop body may peek
+        and take lines too."""
+        return iter(self.next, None)
+
 
 def _parse_matrix_literal(body: str, line: int, raw: str) -> Matrix:
     body = body.strip()
@@ -211,11 +216,7 @@ def _parse_quantum(rd: _Reader, q: int, r: int) -> CTCProgram:
     order: List[QuantumGate] = []
     apps: List[GateApplication] = []
     output_bit: Optional[int] = None
-    while True:
-        item = rd.next()
-        if item is None:
-            break
-        line, text, raw = item
+    for line, text, raw in rd:
         key, rest = _split_keyword(text)
         if key == "defgate":
             m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", rest)
@@ -263,11 +264,7 @@ def _parse_classical(rd: _Reader, p: int, qc: int) -> CTCProgram:
     table_seen = False
     output_bit: Optional[int] = None
     total = p + qc
-    while True:
-        item = rd.next()
-        if item is None:
-            break
-        line, text, raw = item
+    for line, text, raw in rd:
         key, rest = _split_keyword(text)
         if key in ("and", "or", "not", "copy"):
             m = re.match(r"^(.+?)<-(.+)$", rest)
@@ -342,11 +339,7 @@ def _parse_stochastic(rd: _Reader, p: int, r: int) -> CTCProgram:
     matrix: Optional[Matrix] = None
     patterns: List[str] = []
     output_bit: Optional[int] = None
-    while True:
-        item = rd.next()
-        if item is None:
-            break
-        line, text, raw = item
+    for line, text, raw in rd:
         key, rest = _split_keyword(text)
         if key == "matrix":
             m = re.match(r"^=\s*(.+)$", rest)

@@ -10,11 +10,13 @@ Determinants, adjugates, nullspaces and the positive-semidefiniteness
 check run on a denominator-cleared copy of the matrix using fraction-free
 (Bareiss style) elimination over the Gaussian integers.  One Gauss-Jordan
 kernel, _ffgj, serves the adjugate, on [M | I] with pivots in the first
-n columns, and the nullspace, with pivots anywhere.  ctcsim.fixpoint uses
-the grid helpers _grid_kernel, _grid_adjugate and _grid_product as they
-are, and ctcsim.semantics takes each recurrent class's stationary vector
-from _grid_kernel on the class's cleared block; det_and_adjugate and
-nullspace divide their grids once per entry.
+n columns, and the nullspace, with pivots anywhere.  _int_grids is the
+one routine that clears denominators and _divided the one that divides a
+grid back, once per entry: ctcsim.superop uses both for the natural
+matrix, ctcsim.fixpoint for the projector, and ctcsim.semantics clears
+each recurrent class's block and the acceptance operator.  ctcsim.fixpoint
+also uses _grid_kernel, _grid_adjugate and _grid_product as they are, and
+ctcsim.semantics takes each class's stationary vector from _grid_kernel.
 The PSD check, _grid_psd, is the symmetric variant, down the diagonal, after
 Hermiticity is compared on the integers; ctcsim.fixpoint and
 ctcsim.semantics run it on grids they build themselves.  Each division
@@ -226,7 +228,8 @@ def _int_grids(m: Matrix) -> Tuple[List[List[int]], List[List[int]], int]:
     """Clear denominators: return integer re/im grids and the denominator."""
     c = m.cols
     parts = [x for e in m.entries for x in (e.re, e.im)]
-    den = math.lcm(*{int(x.denominator) for x in parts})
+    # a zero part's denominator is 1, so only the nonzero parts are read
+    den = math.lcm(*{int(x.denominator) for x in parts if x})
     flat = [int(x.numerator) * (den // int(x.denominator)) if x else 0 for x in parts]
     rows = [flat[2 * c * i : 2 * c * (i + 1)] for i in range(m.rows)]
     return [r[0::2] for r in rows], [r[1::2] for r in rows], den

@@ -62,7 +62,7 @@ from .exact.matrices import (
 )
 from .exact.polys import Polynomial, lagrange_interpolate
 from .exact.scalars import GaussianRational, ONE, ZERO
-from .superop import DensityMatrix, Superoperator, unvec, vec
+from .superop import DensityMatrix, Superoperator, _choi_index, unvec, vec
 from .superop import choi_matrix  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
 
 if TYPE_CHECKING:
@@ -277,10 +277,10 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
     if traced != [det if c % (s + 1) == 0 else (0, 0) for c in range(n)]:
         raise ContractViolationError("fixed-point projector is not trace-preserving")
     # CP: N conj(det), or N sign(det) for a real det, is a positive multiple
-    # of R, and choi_matrix's reshuffle of it the same multiple of R's Choi
-    # matrix: entry (i s + k, j s + l) is N[k s + l, i s + j]
+    # of R, and its Choi reshuffle, as choi_matrix's, the same multiple of
+    # R's Choi matrix
     ur, ui = (dr, -di) if di else (1 if dr > 0 else -1, 0)
-    at = [[((a % s) * s + b % s, (a // s) * s + b // s) for b in range(n)] for a in range(n)]
+    at = _choi_index(s)
     cr = [[rows[k][0][c] * ur - rows[k][1][c] * ui for k, c in row] for row in at]
     ci = [[rows[k][0][c] * ui + rows[k][1][c] * ur for k, c in row] for row in at]
     verdict = _grid_psd(cr, ci)

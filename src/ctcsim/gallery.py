@@ -96,21 +96,17 @@ accept c7
 }
 
 
+def _lookup(table: Dict[str, str], kind: str, name: str) -> str:
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; available: {', '.join(sorted(table))}")
+    return table[name]
+
+
 def demo_source(name: str) -> str:
-    """Program text for a named quantum demo."""
-    try:
-        return QUANTUM_DEMOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown demo {name!r}; available: {', '.join(sorted(QUANTUM_DEMOS))}"
-        ) from None
+    """Program text for a named quantum demo; ValueError for an unknown name."""
+    return _lookup(QUANTUM_DEMOS, "demo", name)
 
 
 def machine_source(name: str) -> str:
-    """Machine text for a named machine demo."""
-    try:
-        return MACHINE_DEMOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown machine {name!r}; available: {', '.join(sorted(MACHINE_DEMOS))}"
-        ) from None
+    """Machine text for a named machine demo; ValueError for an unknown name."""
+    return _lookup(MACHINE_DEMOS, "machine", name)

@@ -10,9 +10,10 @@ distributions are exactly the mixtures of uniform-on-cycle distributions,
 so the all-states quantifier is checked by enumerating every cycle.
 Stochastic programs induce a column-stochastic chain; the consistent set
 is the convex hull of the per-recurrent-class stationary distributions.
-The recurrent classes are the terminal strongly connected components of
-the chain's support graph, found by terminal_classes, an iterative Tarjan
-search.
+terminal_classes, an iterative Tarjan search, finds the terminal strongly
+connected components of a graph: on a chain's support graph they are the
+recurrent classes, and on a function's graph, where every node has one
+successor, they are the cycles that enumerate_cycles lists.
 Quantum programs go through the exact fixed-point projector, with the
 range of acceptance probabilities over the whole fixed space read off the
 eigenvalues of an exact Hermitian acceptance operator.  Those float
@@ -36,7 +37,6 @@ amplifies a single witness among exponentially many candidates.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -198,27 +198,14 @@ def cycle_fixed_point(table: FunctionTable) -> Tuple[ClassicalDistribution, Tupl
 
 def enumerate_cycles(table: FunctionTable) -> List[Tuple[int, ...]]:
     """All cycles of the functional graph, each starting at its smallest
-    element, listed in increasing order of that element."""
-    size = 1 << table.bits
-    state = [0] * size  # 0 unseen, 1 on current walk, 2 settled
+    element, listed in increasing order of that element: the graph's
+    terminal classes, each walked in map order from its first member."""
     cycles = []
-    for start in range(size):
-        if state[start]:
-            continue
-        path = []
-        y = start
-        while state[y] == 0:
-            state[y] = 1
-            path.append(y)
-            y = table.apply(y)
-        if state[y] == 1:
-            at = path.index(y)
-            cyc = path[at:]
-            rot = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[rot:] + cyc[:rot]))
-        for v in path:
-            state[v] = 2
-    cycles.sort(key=lambda c: c[0])
+    for members in terminal_classes([[y] for y in table.outputs]):
+        cycle = [members[0]]
+        for _ in members[1:]:
+            cycle.append(table.apply(cycle[-1]))
+        cycles.append(tuple(cycle))
     return cycles
 
 
@@ -364,12 +351,11 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
     per_class = []
     for members in member_lists:
         k = len(members)
-        block = [[entries[i * dim + j].re for j in members] for i in members]
-        den = math.lcm(*(int(e.denominator) for row in block for e in row))
-        grid = [[int(e.numerator) * (den // int(e.denominator)) for e in row] for row in block]
+        block = Matrix(k, k, (entries[i * dim + j] for i in members for j in members))
+        grid, imag, den = _int_grids(block)
         for i in range(k):
             grid[i][i] -= den
-        basis = _grid_kernel(grid, [[0] * k for _ in range(k)], k)[1]
+        basis = _grid_kernel(grid, imag, k)[1]
         if len(basis) != 1:
             raise ContractViolationError(
                 f"recurrent class {members} has stationary dimension {len(basis)}"

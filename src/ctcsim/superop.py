@@ -12,22 +12,22 @@ occupies the low-order index block throughout, matching circuits.py.
 program_to_natural builds the channel from the induced Kraus family, one
 operator per ancilla readout value; the same family gives the acceptance
 measurement in semantics.py.  kraus_to_natural assembles the natural
-matrix on an integer grid: the whole family shares one denominator D,
-the sum runs over Gaussian integers, and each entry of the result is
-built by a single division by D^2.
+matrix on an integer grid: exact.matrices._int_grids clears the stacked
+family to one shared denominator D, the sum runs over Gaussian integers,
+and _divided builds each entry of the result by one division by D^2.
+choi_matrix and the CP certificate in fixpoint.py share one index map.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .circuits import CTCProgram, circuit_isometry
 from .circuits import circuit_unitary  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
-from .exact.matrices import Matrix, hermitian_psd_check
-from .exact.scalars import GaussianRational, ONE, Rational, ZERO
+from .exact.matrices import Matrix, _divided, _int_grids, hermitian_psd_check
+from .exact.scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
     "DensityMatrix",
@@ -147,23 +147,12 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
     for a in kraus:
         if a.rows != n or a.cols != n:
             raise ValueError("Kraus operators must be square and of equal dimension")
-    den = 1
-    for a in kraus:
-        for e in a.entries:
-            den = math.lcm(den, int(e.re.denominator), int(e.im.denominator))
+    # the family cleared as one stacked grid: row j * n + i is row i of D * A_j
+    gr, gi, den = _int_grids(Matrix(len(kraus) * n, n, (e for a in kraus for e in a.entries)))
     # the nonzero entries of each D * A_j as (row, col, re, im)
-    grids = []
-    for a in kraus:
-        cells = []
-        for idx, e in enumerate(a.entries):
-            if e.re or e.im:
-                cells.append((
-                    idx // n,
-                    idx % n,
-                    int(e.re.numerator) * (den // int(e.re.denominator)),
-                    int(e.im.numerator) * (den // int(e.im.denominator)),
-                ))
-        grids.append(cells)
+    grids = [[] for _ in kraus]
+    for i, row in enumerate(zip(gr, gi)):
+        grids[i // n].extend((i % n, j, x, y) for j, (x, y) in enumerate(zip(*row)) if x or y)
     # K[i1 * n + i2, j1 * n + j2] = sum_j A_j[i1, j1] * conj(A_j[i2, j2])
     size = n * n
     kr = [0] * (size * size)
@@ -190,15 +179,7 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
             KrausCompletenessWarning,
             stacklevel=2,
         )
-    k = Matrix(
-        size,
-        size,
-        (
-            GaussianRational(Rational(r, d2), Rational(i, d2)) if r or i else ZERO
-            for r, i in zip(kr, ki)
-        ),
-    )
-    return Superoperator(n, k)
+    return Superoperator(n, Matrix(size, size, _divided([(kr, ki)], (d2, 0))[0]))
 
 
 def induced_kraus(program: CTCProgram) -> List[Matrix]:
@@ -233,17 +214,16 @@ def program_to_natural(program: CTCProgram) -> Superoperator:
         return kraus_to_natural(induced_kraus(program))
 
 
-def choi_matrix(s: Superoperator) -> Matrix:
-    """sum_ij |i><j| tensor Phi(|i><j|), assembled straight from k_matrix.
+def _choi_index(n: int) -> List[List[Tuple[int, int]]]:
+    """Where each Choi entry of an n-dimensional channel sits in its natural
+    matrix: with row-stacking, Phi(|i><j|)[k, l] is K[k*n + l, i*n + j], so
+    Choi entry (i*n + k, j*n + l) is read at (k*n + l, i*n + j)."""
+    return [[((a % n) * n + b % n, (a // n) * n + b // n) for b in range(n * n)]
+            for a in range(n * n)]
 
-    With row-stacking, Phi(|i><j|)[k, l] is k_matrix[k*N + l, i*N + j].
-    """
-    n = s.input_dim
+
+def choi_matrix(s: Superoperator) -> Matrix:
+    """sum_ij |i><j| tensor Phi(|i><j|), assembled straight from k_matrix."""
     k = s.k_matrix
-    entries = []
-    for i in range(n):
-        for kk in range(n):
-            for j in range(n):
-                for ll in range(n):
-                    entries.append(k.entry(kk * n + ll, i * n + j))
-    return Matrix(n * n, n * n, entries)
+    index = _choi_index(s.input_dim)
+    return Matrix(k.rows, k.cols, (k.entry(r, c) for row in index for r, c in row))

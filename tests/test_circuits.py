@@ -15,7 +15,6 @@ from conftest import (
 )
 from ctcsim.circuits import (
     BUILTIN_GATES,
-    ClassicalAssignment,
     ClassicalCircuit,
     CTCProgram,
     FunctionTable,

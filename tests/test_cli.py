@@ -10,13 +10,13 @@ import pytest
 
 import ctcsim.semantics
 from ctcsim import cli
-from ctcsim.circuits import CTCProgram, QuantumCircuit
+from ctcsim.circuits import QuantumCircuit
 from ctcsim.cli import EXIT_INTERNAL, main, run_cli
 from ctcsim.dsl import parse_program, program_to_text
 from ctcsim.errors import ContractViolationError, ResourceLimitError
 from ctcsim.exact.matrices import Matrix, _KernelBug
 from ctcsim.exact.scalars import Rational, rational_from_text, scalar_from_text
-from ctcsim.gallery import QUANTUM_DEMOS
+from ctcsim.gallery import QUANTUM_DEMOS, demo_source, machine_source
 from ctcsim.semantics import gadget_np_search, quantum_decide
 from ctcsim.superop import DensityMatrix
 
@@ -183,6 +183,20 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert err.rstrip().endswith("_KernelBug: inexact division in fraction-free elimination")
 
 
+def test_key_error_from_a_bug_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """Only ValueError and contract violations read as exit 3; a KeyError
+    raised inside the decision is a bug like any other."""
+    def broken(R, I, nc):
+        raise KeyError("pivot")
+
+    monkeypatch.setattr("ctcsim.semantics._grid_kernel", broken)
+    code = run_cli(["decide", write(tmp_path, DOUBLY_STOCHASTIC)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: 'pivot'")
+    assert err.rstrip().endswith("KeyError: 'pivot'")
+
+
 def test_negative_stationary_mass_is_a_contract_violation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         "ctcsim.semantics._grid_kernel", lambda R, I, nc: ((1, 0), [([2, -1], [0, 0])])
@@ -319,7 +333,15 @@ def test_demo_pspace(capsys):
 def test_demo_pspace_unknown_machine(capsys):
     code, out, err = run(capsys, ["demo", "pspace", "--param", "machine=warp"])
     assert code == 3
-    assert "unknown machine" in err
+    # a ValueError, so the message is not quoted as a KeyError's would be
+    assert err.startswith("error: unknown machine 'warp'; available: accept, long,")
+
+
+def test_unknown_gallery_names_raise_value_error():
+    with pytest.raises(ValueError, match=r"^unknown demo 'warp'; available: dephase,"):
+        demo_source("warp")
+    with pytest.raises(ValueError, match=r"^unknown machine 'warp'; available: accept,"):
+        machine_source("warp")
 
 
 def test_demo_narrow_default_value(capsys):

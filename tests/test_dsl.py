@@ -10,7 +10,6 @@ from ctcsim.circuits import (
     ClassicalAssignment,
     ClassicalCircuit,
     CTCProgram,
-    FunctionTable,
     StochasticCircuit,
     StochasticMatrix,
 )

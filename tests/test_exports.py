@@ -16,7 +16,13 @@ MODULES = sorted(
 
 PACKAGE_DIR = Path(ctcsim.__file__).parent
 SOURCES = sorted(PACKAGE_DIR.rglob("*.py"))
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
+# the package's files keep their ids relative to the package
+CHECKED = [(path, str(path.relative_to(PACKAGE_DIR))) for path in SOURCES] + [
+    (path, str(path.relative_to(REPO)))
+    for path in sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("scripts/*.py"))
+]
 
 # second routes that moved into the tests or were dropped
 REMOVED = [
@@ -82,7 +88,21 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert not missing, f"trace targets not bound: {missing}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE_DIR)))
+def _imports(tree: ast.Module, lines):
+    """(bound name, whether its line is marked `# noqa: F401`) for each
+    name the module imports, __future__ features aside."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            # the alias may sit on its own line inside parentheses
+            marked = "# noqa: F401" in lines[alias.lineno - 1]
+            yield alias.asname or alias.name.split(".")[0], marked
+
+
+@pytest.mark.parametrize("path", [p for p, _ in CHECKED], ids=[i for _, i in CHECKED])
 def test_every_import_is_used(path):
     """An import is read in its module or re-exported through __all__.
 
@@ -90,7 +110,6 @@ def test_every_import_is_used(path):
     on purpose.
     """
     text = path.read_text()
-    lines = text.splitlines()
     tree = ast.parse(text)
     used = {
         node.id
@@ -102,18 +121,32 @@ def test_every_import_is_used(path):
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
-    unused = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if bound in used:
-                continue
-            # the alias may sit on its own line inside parentheses
-            marked = lines[alias.lineno - 1]
-            if "# noqa: F401" not in marked:
-                unused.append(bound)
+    unused = [
+        bound for bound, marked in _imports(tree, text.splitlines())
+        if bound not in used and not marked
+    ]
     assert not unused, f"{path} imports names it never reads: {unused}"
+
+
+def test_every_pinned_import_is_a_trace_target():
+    """A `# noqa: F401` import in the package only keeps a name bound for a
+    (module, attribute) pair that perfbench/tracing.py TARGETS wraps; once
+    the benchmark drops that target, the pin has to go too."""
+    tree = ast.parse(TRACING.read_text())
+    (targets,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    wrapped = {(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts}
+    stray = []
+    for path in SOURCES:
+        parts = path.relative_to(PACKAGE_DIR).with_suffix("").parts
+        module = ".".join(("ctcsim",) + parts[: -1 if parts[-1] == "__init__" else None])
+        text = path.read_text()
+        stray += [
+            f"{module}.{bound}"
+            for bound, marked in _imports(ast.parse(text), text.splitlines())
+            if marked and (module, bound) not in wrapped
+        ]
+    assert not stray, f"pinned imports that no trace target wraps: {stray}"

@@ -10,6 +10,7 @@ from conftest import (
     dense_accept_operator,
     off_cycle_mass,
     random_class_graph,
+    random_classical_circuit,
     random_planted_chain,
     random_quantum_program,
     random_rank_one_density,
@@ -26,8 +27,9 @@ from ctcsim.circuits import (
     QuantumCircuit,
     StochasticCircuit,
     StochasticMatrix,
+    classical_table,
 )
-from ctcsim.dsl import parse_program
+from ctcsim.dsl import parse_program, program_to_text
 from ctcsim.errors import ContractViolationError
 from ctcsim import semantics
 from ctcsim.exact.matrices import Matrix, _int_grids, hermitian_psd_check
@@ -113,12 +115,11 @@ def test_cycle_fixed_point_order_on_every_two_bit_table():
         assert cycle_fixed_point(t)[1] == squaring_cycle(t)
 
 
-@given(st.integers(0, 100_000), st.integers(1, 4))
-def test_enumerate_cycles_matches_walk_oracle(seed, bits):
-    rng = random.Random(seed)
-    t = random_table(rng, bits)
+def check_cycles(t, cyclic):
+    """enumerate_cycles(t) covers exactly the cyclic nodes, each once, in
+    map order from each cycle's smallest node, cycles sorted by it."""
     cycles = enumerate_cycles(t)
-    assert frozenset(y for c in cycles for y in c) == walk_cyclic_nodes(t)
+    assert frozenset(y for c in cycles for y in c) == cyclic
     seen = set()
     for c in cycles:
         assert c[0] == min(c)
@@ -127,6 +128,31 @@ def test_enumerate_cycles_matches_walk_oracle(seed, bits):
             assert y not in seen
             seen.add(y)
     assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+
+
+@given(st.integers(0, 100_000), st.integers(1, 4))
+def test_enumerate_cycles_matches_walk_oracle(seed, bits):
+    t = random_table(random.Random(seed), bits)
+    check_cycles(t, walk_cyclic_nodes(t))
+
+
+# 2^16 states drive Tarjan's explicit stack deep; the walk oracle would take
+# 2^32 steps on the first and last, so their cyclic nodes are given
+DEEP = 1 << 16
+
+
+@pytest.mark.parametrize(
+    "outputs, cyclic",
+    [
+        # y -> 5y + 1 mod 2^16 has full period (Hull and Dobell): one cycle
+        ([(5 * y + 1) % DEEP for y in range(DEEP)], frozenset(range(DEEP))),
+        (list(range(DEEP)), frozenset(range(DEEP))),
+        ([0] * DEEP, frozenset({0})),
+    ],
+    ids=["one-cycle", "identity", "all-to-zero"],
+)
+def test_enumerate_cycles_at_depth(outputs, cyclic):
+    check_cycles(FunctionTable(16, tuple(outputs)), cyclic)
 
 
 def test_off_cycle_mass_example():
@@ -227,6 +253,37 @@ def test_classical_decide_certifies_wide_identity_loop():
     assert v.certified
     assert v.exact_accept_probability == 0
     assert v.probability_range == (0.0, 1.0)
+
+
+@given(st.integers(0, 100_000), st.integers(1, 4), st.integers(1, 3))
+def test_not_conjugation_relabels_classical_cycles(seed, p, qc):
+    """Wrapping a classical body in `not` on CTC bit k relabels the states
+    by XOR with k's mask: the verdict and range stay, and every cycle is
+    carried to a cycle."""
+    rng = random.Random(seed)
+    program = CTCProgram("classical", random_classical_circuit(rng, p, qc), rng.randrange(qc))
+    k = rng.randrange(p)
+    # kind, registers, body, then the output line last
+    lines = program_to_text(program).splitlines()
+    flip = f"not ctc[{k}] <- ctc[{k}]"
+    before = parse_program("\n".join(lines))
+    after = parse_program("\n".join(lines[:2] + [flip] + lines[2:-1] + [flip, lines[-1]]))
+    va, vb = classical_decide(before), classical_decide(after)
+    assert (vb.decision, vb.probability_range) == (va.decision, va.probability_range)
+
+    def cycles(prog):
+        full, _ = classical_table(prog.circuit)
+        return enumerate_cycles(
+            FunctionTable(p, tuple(full.outputs[y << qc] >> qc for y in range(1 << p)))
+        )
+
+    mask = 1 << (p - 1 - k)
+    relabelled = []
+    for c in cycles(before):
+        c = [y ^ mask for y in c]
+        at = c.index(min(c))
+        relabelled.append(tuple(c[at:] + c[:at]))
+    assert cycles(after) == sorted(relabelled)
 
 
 # -- stationary distributions -------------------------------------------------
@@ -392,6 +449,44 @@ def test_narrow_np_validates_inputs():
         gadget_narrow_np(1, [True], Rational(1, 4))
     with pytest.raises(ValueError):
         gadget_narrow_np(1, [True, False], Rational(0))
+
+
+@given(st.integers(0, 100_000), st.integers(1, 4), st.integers(1, 3))
+def test_bit_permutation_keeps_the_stochastic_verdict(seed, bits, classes):
+    """Permuting the CTC bit positions in a chain's literal and in every
+    output pattern relabels its states: the verdict, range and canonical
+    probability stay, and the canonical distribution is relabelled."""
+    rng = random.Random(seed)
+    chain, _ = random_planted_chain(rng, bits, min(classes, 1 << bits))
+    patterns = tuple(
+        "".join(rng.choice("01*") for _ in range(bits)) for _ in range(rng.randint(1, 3))
+    )
+    text = program_to_text(CTCProgram("stochastic", StochasticCircuit(bits, chain, patterns), 0))
+    perm = rng.sample(range(bits), bits)  # position i of the new string reads perm[i]
+
+    def moved(x):
+        s = format(x, f"0{bits}b")
+        return int("".join(s[j] for j in perm), 2)
+
+    lines = []
+    for line in text.splitlines():
+        key, _, rest = line.partition(" ")
+        if key == "matrix":
+            old = [row.split(",") for row in rest[rest.index("[") + 1 : -1].split(";")]
+            new = [[""] * len(old) for _ in old]
+            for i, row in enumerate(old):
+                for j, cell in enumerate(row):
+                    new[moved(i)][moved(j)] = cell.strip()
+            line = "matrix = [" + "; ".join(", ".join(row) for row in new) + "]"
+        elif key == "output-rule":
+            line = key + " " + " ".join("".join(pat[j] for j in perm) for pat in rest.split())
+        lines.append(line)
+    va = stochastic_decide(parse_program(text))
+    vb = stochastic_decide(parse_program("\n".join(lines)))
+    assert (vb.decision, vb.probability_range) == (va.decision, va.probability_range)
+    assert vb.exact_accept_probability == va.exact_accept_probability
+    pa, pb = va.witness.probabilities, vb.witness.probabilities
+    assert all(pb[moved(x)] == px for x, px in enumerate(pa))
 
 
 def test_stochastic_decide_requires_output():
