@@ -404,6 +404,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.steps < 1:
+        raise ValueError("need at least one term")
     em = _Emitter(args.json)
     program, code = _load_valid_program(args.file, em)
     if program is None:

@@ -7,23 +7,21 @@ are and coerces the rest (ints and rationals) through as_scalar, so the
 matrices that operations build from scalars cost no conversion.
 
 Determinants, adjugates, nullspaces and the positive-semidefiniteness
-check run on a denominator-cleared copy of the matrix using fraction-free
-(Bareiss style) elimination over the Gaussian integers.  One Gauss-Jordan
-kernel, _ffgj, serves the adjugate, on [M | I] with pivots in the first
-n columns, and the nullspace, with pivots anywhere.  _int_grids is the
-one routine that clears denominators and _divided the one that divides a
-grid back, once per entry: ctcsim.superop uses both for the natural
-matrix, ctcsim.fixpoint for the projector, and ctcsim.semantics clears
-each recurrent class's block and the acceptance operator.  ctcsim.fixpoint
-also uses _grid_kernel, _grid_adjugate and _grid_product as they are, and
-ctcsim.semantics takes each class's stationary vector from _grid_kernel.
-The PSD check, _grid_psd, is the symmetric variant, down the diagonal, after
-Hermiticity is compared on the integers; ctcsim.fixpoint and
-ctcsim.semantics run it on grids they build themselves.  Each division
-is exact (Sylvester's identity) and checked with divmod, so a kernel bug
-surfaces as a loud error, not a wrong answer.  The characteristic
-polynomial, interpolated from determinants, is the tests' oracle for the
-PSD check, not any decision's.
+check run by fraction-free (Bareiss 1968) elimination on integer grids:
+_int_grids clears denominators and _divided divides a grid back, once per
+entry.  One Gauss-Jordan kernel, _ffgj, serves the adjugate
+(_grid_adjugate, on [M | I] with pivots in the first n columns) and the
+nullspace (_grid_kernel, with pivots anywhere).  When the imaginary grid
+is all zero, as for every stochastic class and every real channel, _ffgj
+runs the integer loop _ffgj_real; otherwise it runs the Gaussian-integer
+loop.  ctcsim.superop (the natural matrix), ctcsim.fixpoint (the
+projector) and ctcsim.semantics (the class solves and the acceptance
+operator) call these grid routines directly.  The PSD check, _grid_psd, is
+the symmetric variant, down the diagonal, after Hermiticity is compared on
+the integers.  Each division is exact (Sylvester's identity) and checked
+with divmod, so a kernel bug surfaces as a loud error, not a wrong answer.
+The characteristic polynomial, interpolated from determinants, is the
+tests' oracle for the PSD check, not any decision's.
 
 There is no matrix of polynomials: the resolvent oracle in ctcsim.fixpoint
 keeps its n^2 numerators as a row-major tuple of Polynomials, built
@@ -265,8 +263,10 @@ def _ffgj(R: List[List[int]], I: List[List[int]], limit: int) -> Tuple[List[int]
     zero at every other pivot column, and p times the reduced row-echelon
     form everywhere else; the rows below them are zero in every column
     before limit.  Every division is exact by the Sylvester identity and
-    checked by _divc.
+    checked; an all-zero I runs _ffgj_real instead, which leaves I as is.
     """
+    if not any(map(any, I)):
+        return _ffgj_real(R, limit)
     nr = len(R)
     m = len(R[0]) if nr else 0
     sign = 1
@@ -315,6 +315,49 @@ def _ffgj(R: List[List[int]], I: List[List[int]], limit: int) -> Tuple[List[int]
             riI[c] = 0
         pivots.append(c)
         pr, pi = cr, ci
+    return pivots, sign
+
+
+def _ffgj_real(R: List[List[int]], limit: int) -> Tuple[List[int], int]:
+    """_ffgj on a real integer grid: the same pivots, sign and settled rows,
+    with one product per term and one divmod per update."""
+    nr = len(R)
+    m = len(R[0]) if nr else 0
+    sign, p = 1, 1
+    pivots: List[int] = []
+    free: List[int] = []
+    for c in range(limit):
+        k = len(pivots)
+        piv = next((i for i in range(k, nr) if R[i][c]), None)
+        if piv is None:
+            free.append(c)
+            continue
+        if piv != k:
+            R[k], R[piv] = R[piv], R[k]
+            sign = -sign
+        rk, cp = R[k], R[k][c]
+        cols = free + list(range(c + 1, m))
+        for i in range(nr):
+            if i == k:
+                continue
+            ri = R[i]
+            f = ri[c]
+            if f:
+                for j in cols:
+                    ri[j], r = divmod(cp * ri[j] - f * rk[j], p)
+                    if r:
+                        raise _KernelBug("inexact division in fraction-free elimination")
+            else:
+                for j in cols:
+                    if ri[j]:
+                        ri[j], r = divmod(cp * ri[j], p)
+                        if r:
+                            raise _KernelBug("inexact division in fraction-free elimination")
+            if i < k:
+                ri[pivots[i]] = cp
+            ri[c] = 0
+        pivots.append(c)
+        p = cp
     return pivots, sign
 
 

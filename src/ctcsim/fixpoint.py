@@ -34,8 +34,8 @@ the top-level package.
 
 The whole computation stays in rational arithmetic: no eigendecomposition,
 no floating point, no assumption that K is diagonalizable.
-cesaro_oracle is the one deliberate exception: a float-precision running
-average of channel iterates, used only to cross-check the exact path.
+cesaro_oracle is the one deliberate exception: a float-precision average
+of channel iterates, used only to cross-check the exact path.
 """
 
 from __future__ import annotations
@@ -348,20 +348,20 @@ def to_complex_array(m: Matrix) -> np.ndarray:
 
 
 def cesaro_oracle(phi: Superoperator, sigma: DensityMatrix, t: int) -> np.ndarray:
-    """Running average (1/T) sum_{k<T} Phi^k(sigma) in float arithmetic.
-
-    Converges to the same limit as the exact projector; kept strictly
-    outside the exact path and used only to cross-check it.
+    """(1/T) sum_{k<T} Phi^k(sigma) in float arithmetic, by binary doubling:
+    S_2m = S_m + K^m S_m for S_m = sum_{k<m} K^k vec(sigma), and the bits
+    of T combine as S_(m+a) = S_m + K^m S_a.  Converges to the exact limit;
+    kept outside the exact path and used only to cross-check it.
     """
     if t < 1:
         raise ValueError("need at least one term")
     import numpy as np  # float diagnostics only; kept off the import path
 
     n = phi.input_dim
-    k = to_complex_array(phi.k_matrix)
-    cur = to_complex_array(vec(sigma.matrix)).reshape(n * n)
-    acc = np.zeros(n * n, dtype=complex)
-    for _ in range(t):
-        acc += cur
-        cur = k @ cur
+    power = to_complex_array(phi.k_matrix)  # K^m for m = 1, 2, 4, ...
+    run = to_complex_array(vec(sigma.matrix)).reshape(n * n)  # S_m
+    acc = np.zeros(n * n, dtype=complex)  # S_a, a the low bits of T taken so far
+    for bit in reversed(f"{t:b}"):
+        acc = run + power @ acc if bit == "1" else acc
+        run, power = run + power @ run, power @ power
     return (acc / t).reshape(n, n)

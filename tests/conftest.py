@@ -9,13 +9,15 @@ unitary, dense Kronecker products for the natural matrix, one
 interpolation per resolvent entry, rational matrix products over field
 kernels for the fixed-point projector, the sign pattern of the
 characteristic polynomial for positive semidefiniteness, the Matrix
-nullspace of P_cc - I for a recurrent class's stationary distribution)
-so agreement actually means something.
+nullspace of P_cc - I for a recurrent class's stationary distribution,
+T matrix-vector steps for the doubled Cesaro average) so agreement
+actually means something.
 """
 
 import random
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 
 from ctcsim.circuits import (
@@ -40,6 +42,7 @@ from ctcsim.exact.matrices import (
 )
 from ctcsim.exact.polys import Polynomial, lagrange_interpolate
 from ctcsim.exact.scalars import GaussianRational, ONE, Rational, ZERO
+from ctcsim.fixpoint import to_complex_array
 from ctcsim.superop import DensityMatrix, Superoperator, unvec, vec
 
 settings.register_profile(
@@ -568,3 +571,16 @@ def acceptance_operator_by_definition(a: Matrix, r: Matrix) -> Matrix:
             unit = Matrix(n, n, (ONE if i == k and j == l else ZERO for i in range(n) for j in range(n)))
             h[l][k] = (a @ unvec(r @ vec(unit), n)).trace()
     return Matrix.from_rows(h)
+
+
+def cesaro_by_iteration(phi: Superoperator, sigma: DensityMatrix, t: int) -> np.ndarray:
+    """(1/T) sum_{k<T} Phi^k(sigma) as T float matrix-vector steps: the
+    running sum that fixpoint.cesaro_oracle forms by doubling."""
+    n = phi.input_dim
+    k = to_complex_array(phi.k_matrix)
+    cur = to_complex_array(vec(sigma.matrix)).reshape(n * n)
+    acc = np.zeros(n * n, dtype=complex)
+    for _ in range(t):
+        acc += cur
+        cur = k @ cur
+    return (acc / t).reshape(n, n)

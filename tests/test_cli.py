@@ -412,6 +412,16 @@ def test_oracle_quantum_only(tmp_path, capsys):
     assert "quantum programs only" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_oracle_refuses_too_few_steps_before_the_exact_work(tmp_path, capsys, monkeypatch, steps):
+    def refuse(program, allow_large=False):
+        raise AssertionError("projector built for an oracle with no terms")
+
+    monkeypatch.setattr("ctcsim.cli.program_projector", refuse)
+    code, out, err = run(capsys, ["oracle", write(tmp_path, GRANDFATHER), "--steps", steps])
+    assert (code, out, err) == (3, "", "error: need at least one term\n")
+
+
 # -- robustness ----------------------------------------------------------------
 
 FIVE_LOOPED = """quantum

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    cesaro_by_iteration,
     fixed_space_basis,
     inverse,
     projector_by_field_kernels,
@@ -462,6 +463,16 @@ def test_cesaro_oracle_approaches_exact_limit():
     exact = to_complex_array(compute_fixed_point(proj, sigma).matrix)
     approx = cesaro_oracle(phi, sigma, 20_000)
     assert np.max(np.abs(exact - approx)) < 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(QUANTUM_DEMOS))
+def test_doubled_cesaro_average_matches_the_iteration(name):
+    phi = channel_of(name)
+    dim = phi.input_dim
+    sigma = DensityMatrix.basis_state(dim, dim - 1)
+    for t in (1, 2, 3, 7, 1000):
+        dev = np.max(np.abs(cesaro_oracle(phi, sigma, t) - cesaro_by_iteration(phi, sigma, t)))
+        assert dev <= 1e-9, (t, dev)
 
 
 def test_cesaro_oracle_validates_count():

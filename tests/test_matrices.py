@@ -41,6 +41,18 @@ def square(n):
 
 square_any = st.integers(1, 4).flatmap(square)
 
+real_entry = st.tuples(st.integers(-2, 2), st.integers(1, 3)).map(
+    lambda t: GaussianRational(Rational(*t))
+)
+
+
+def real_square(n):
+    """Dense real n x n draws, so _ffgj runs its integer loop; a fifth of
+    the entries are zero, so pivot searches often swap rows."""
+    return st.lists(real_entry, min_size=n * n, max_size=n * n).map(
+        lambda es: Matrix(n, n, es)
+    )
+
 rational = st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda t: Rational(*t))
 
 
@@ -66,7 +78,11 @@ def determinant(m: Matrix) -> GaussianRational:
         return ZERO
 
 
-@given(square_any)
+# real first row over a complex one: the loop is chosen on the whole grid
+@example(Matrix.from_rows([[1, 2], [IMAG_UNIT, 1]]))
+# a real grid whose first two pivots each need a row swap
+@example(Matrix.from_rows([[0, 2, 1], [1, 1, 0], [2, 2, 3]]))
+@given(st.one_of(square_any, st.integers(1, 5).flatmap(real_square)))
 def test_determinant_matches_cofactor_oracle(m):
     assert determinant(m) == cofactor_det(m.to_rows())
 
@@ -235,14 +251,17 @@ def test_nullspace_matches_field_oracle_on_channels(seed):
 @st.composite
 def kernel_sources(draw):
     """n x n rational matrices, n = 1-6: zero, a dense complex draw (full
-    rank almost always) or a low-rank product, real in about half of its
-    draws, so the final pivot is complex in many draws and real in some."""
+    rank almost always), a dense real draw, or a low-rank product, real in
+    about half of its draws, so both of _ffgj's loops run on full and on
+    short rank, and the final pivot is complex in many draws."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["zero", "dense", "low-rank"]))
+    kind = draw(st.sampled_from(["zero", "dense", "real-dense", "low-rank"]))
     if kind == "zero":
         return Matrix.zeros(n, n)
     if kind == "dense":
         return draw(square(n))
+    if kind == "real-dense":
+        return draw(real_square(n))
     return draw(low_rank_product(st.just(n), st.just(n)))
 
 

@@ -32,6 +32,7 @@ from ctcsim.circuits import (
 from ctcsim.dsl import parse_program, program_to_text
 from ctcsim.errors import ContractViolationError
 from ctcsim import semantics
+from ctcsim.exact import matrices
 from ctcsim.exact.matrices import Matrix, _int_grids, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
 from ctcsim.fixpoint import compute_fixed_point, fixed_point_projector, verify_fixed_point
@@ -619,6 +620,35 @@ def test_decision_builds_the_isometry_once_and_never_the_unitary(monkeypatch):
     quantum_decide(program)
     assert widths == [1 << program.circuit.ctc_qubits]
     assert "_unitary" not in program.circuit.__dict__
+
+
+def test_stochastic_decisions_never_run_the_gaussian_integer_loop(monkeypatch):
+    """Every class grid of a chain is real, so each _ffgj call takes the
+    integer loop and _divc, the Gaussian-integer division, is never called.
+    An S gate makes a unitary channel's K complex: there the counters see
+    _ffgj calls that skip the integer loop, and _divc calls."""
+    calls = {name: 0 for name in ("_ffgj", "_ffgj_real", "_divc")}
+
+    def counted(name):
+        real = getattr(matrices, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(matrices, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    chain, planted = random_planted_chain(random.Random(7), 4, 3)
+    stochastic_decide(CTCProgram("stochastic", StochasticCircuit(4, chain, ("1***",)), 0))
+    assert calls == {"_ffgj": len(planted), "_ffgj_real": len(planted), "_divc": 0}
+    quantum_decide(parse_program(
+        "quantum\nregisters ctc=1 cr=1\ndefgate R = [3/5, -4/5; 4/5, 3/5]\n"
+        "apply R ctc[0]\napply S ctc[0]\noutput cr[0]\n"
+    ))
+    assert calls["_ffgj"] > len(planted) and calls["_ffgj_real"] == len(planted)
+    assert calls["_divc"] > 0
 
 
 def test_acceptance_operator_grandfather_is_half_identity():
