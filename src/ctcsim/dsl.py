@@ -189,20 +189,26 @@ def parse_program(text: str) -> CTCProgram:
     q, r = int(m.group(1)), int(m.group(2))
     if q < 1:
         raise ParseError("ctc register must have at least one wire", rline, _col(rraw, "ctc="))
+    if kind == "stochastic" and r != 1:
+        raise ParseError(
+            "stochastic programs use exactly one causality-respecting output bit (cr=1)",
+            rline,
+            _col(rraw, "cr="),
+        )
     if kind == "quantum":
         return _parse_quantum(rd, q, r)
     if kind == "classical":
         return _parse_classical(rd, q, r)
-    return _parse_stochastic(rd, q, r)
+    return _parse_stochastic(rd, q)
 
 
-def _parse_output(rest: str, line: int, raw: str, r: int) -> int:
+def _parse_output(rest: str, line: int, raw: str, r: int, output_bit: Optional[int]) -> int:
+    """The cr index an output line names; output_bit is an earlier one's."""
+    if output_bit is not None:
+        raise ParseError("output is already defined", line, _col(raw, "output"))
     token = rest.strip()
     w = _parse_wire(token, line, raw, ("cr",))
-    if w[1] >= r:
-        raise ParseError(
-            f"register overflow: cr[{w[1]}] but cr has {r} wires", line, _col(raw, token)
-        )
+    _check_wire_bounds(w, 0, r, line, raw, token)  # a cr wire: the ctc size is not read
     return w[1]
 
 
@@ -251,7 +257,7 @@ def _parse_quantum(rd: _Reader, q: int, r: int) -> CTCProgram:
             except ValueError as exc:
                 raise ParseError(str(exc), line, _col(raw, name)) from None
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, r)
+            output_bit = _parse_output(rest, line, raw, r, output_bit)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     circuit = QuantumCircuit(q, r, tuple(order), tuple(apps))
@@ -306,7 +312,7 @@ def _parse_classical(rd: _Reader, p: int, qc: int) -> CTCProgram:
                     raise ParseError(f"duplicate table row for input {src}", tline, _col(traw, src))
                 table_rows[x] = int(dst, 2)
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, qc)
+            output_bit = _parse_output(rest, line, raw, qc, output_bit)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     table: Optional[FunctionTable] = None
@@ -329,13 +335,7 @@ def _parse_classical(rd: _Reader, p: int, qc: int) -> CTCProgram:
     return CTCProgram("classical", circuit, output_bit)
 
 
-def _parse_stochastic(rd: _Reader, p: int, r: int) -> CTCProgram:
-    if r != 1:
-        first = rd.peek()
-        raise ParseError(
-            "stochastic programs use exactly one causality-respecting output bit (cr=1)",
-            first[0] - 1 if first else 2,
-        )
+def _parse_stochastic(rd: _Reader, p: int) -> CTCProgram:
     matrix: Optional[Matrix] = None
     patterns: List[str] = []
     output_bit: Optional[int] = None
@@ -369,7 +369,7 @@ def _parse_stochastic(rd: _Reader, p: int, r: int) -> CTCProgram:
                     )
                 patterns.append(token)
         elif key == "output":
-            output_bit = _parse_output(rest, line, raw, r)
+            output_bit = _parse_output(rest, line, raw, 1, output_bit)
         else:
             raise ParseError(f"unexpected directive {key!r}", line, _col(raw, key))
     if matrix is None:

@@ -222,15 +222,17 @@ class Matrix:
 
 # -- fraction-free kernels ---------------------------------------------
 
-def _int_grids(m: Matrix) -> Tuple[List[List[int]], List[List[int]], int]:
-    """Clear denominators: return integer re/im grids and the denominator."""
-    c = m.cols
-    parts = [x for e in m.entries for x in (e.re, e.im)]
+def _int_grids(
+    entries: Iterable[GaussianRational], rows: int, cols: int
+) -> Tuple[List[List[int]], List[List[int]], int]:
+    """Clear denominators of the rows x cols matrix with these row-major
+    entries: return integer re/im grids and the denominator."""
+    parts = [x for e in entries for x in (e.re, e.im)]
     # a zero part's denominator is 1, so only the nonzero parts are read
     den = math.lcm(*{int(x.denominator) for x in parts if x})
     flat = [int(x.numerator) * (den // int(x.denominator)) if x else 0 for x in parts]
-    rows = [flat[2 * c * i : 2 * c * (i + 1)] for i in range(m.rows)]
-    return [r[0::2] for r in rows], [r[1::2] for r in rows], den
+    grid = [flat[2 * cols * i : 2 * cols * (i + 1)] for i in range(rows)]
+    return [r[0::2] for r in grid], [r[1::2] for r in grid], den
 
 
 class _KernelBug(RuntimeError):
@@ -371,7 +373,7 @@ def det_and_adjugate(m: Matrix) -> Tuple[GaussianRational, Matrix]:
     if not m.is_square:
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
-    R, I, den = _int_grids(m)
+    R, I, den = _int_grids(m.entries, m.rows, m.cols)
     (pr, pi), grid = _grid_adjugate(list(zip(R, I)))
     # det(den m) = den^n det(m) and adj(den m) = den^(n-1) adj(m)
     adj = _divided(grid, (den ** max(n - 1, 0), 0))
@@ -432,7 +434,7 @@ def hermitian_psd_check(m: Matrix) -> PsdVerdict:
     """
     if not m.is_square:
         return PsdVerdict(False, "not-square")
-    return _grid_psd(*_int_grids(m)[:2])
+    return _grid_psd(*_int_grids(m.entries, m.rows, m.cols)[:2])
 
 
 def _grid_psd(R: List[List[int]], I: List[List[int]]) -> PsdVerdict:
@@ -546,6 +548,6 @@ def nullspace(m: Matrix) -> List[List[GaussianRational]]:
     the integer column of _grid_kernel on the denominator-cleared matrix,
     divided by the final pivot.
     """
-    R, I, _ = _int_grids(m)
+    R, I, _ = _int_grids(m.entries, m.rows, m.cols)
     p, cols = _grid_kernel(R, I, m.cols)
     return _divided(cols, p)

@@ -239,7 +239,7 @@ def fixed_point_projector(phi: Superoperator, allow_large: bool = False) -> Fixe
             RuntimeWarning,
             stacklevel=_outside_stacklevel(),
         )
-    kr, ki, den = _int_grids(k)
+    kr, ki, den = _int_grids(k.entries, n, n)
     # K's nonzero entries, and its adjoint: the transpose, imaginary negated
     nz = [(i, j, x, y) for i, row in enumerate(zip(kr, ki))
           for j, (x, y) in enumerate(zip(*row)) if x or y]

@@ -48,6 +48,7 @@ from .circuits import (
     FunctionTable,
     StochasticCircuit,
     StochasticMatrix,
+    circuit_isometry,
     circuit_unitary,  # noqa: F401  perfbench/tracing.py TARGETS wrap it under this name
     classical_table,
 )
@@ -62,7 +63,7 @@ from .fixpoint import (
     fixed_point_projector,
     to_complex_array,
 )
-from .superop import DensityMatrix, Superoperator, induced_kraus, program_to_natural, unvec, vec
+from .superop import DensityMatrix, Superoperator, program_to_natural, unvec, vec
 
 __all__ = [
     "ClassicalDistribution",
@@ -172,23 +173,18 @@ def _half_comparison(p: Rational) -> str:
 def cycle_fixed_point(table: FunctionTable) -> Tuple[ClassicalDistribution, Tuple[int, ...]]:
     """Canonical consistent distribution of a function on bit strings.
 
-    The walk from the all-zeros string repeats a state within 2^p steps:
-    it enters a cycle after t steps and goes round it with period L.  The
-    cycle is listed from f^(2^p)(0), the walk's position after 2^p steps,
-    which is step t + (2^p - t) mod L.  The result is uniform on that
+    Every walk enters its cycle within 2^p steps, so the walk from the
+    all-zeros string stands on a cycle after 2^p steps; one lap from that
+    position, f^(2^p)(0), lists the cycle.  The result is uniform on that
     cycle, which the function permutes, so pushing the distribution
     through the function returns it unchanged.
     """
-    step: Dict[int, int] = {}  # state -> first step at which the walk is there
-    path: List[int] = []
     y = 0
-    while y not in step:
-        step[y] = len(path)
-        path.append(y)
+    for _ in range(1 << table.bits):
         y = table.apply(y)
-    t = step[y]
-    start = t + ((1 << table.bits) - t) % (len(path) - t)
-    cycle = path[start:] + path[t:start]
+    cycle = [y]
+    while table.apply(cycle[-1]) != y:
+        cycle.append(table.apply(cycle[-1]))
     w = Rational(1, len(cycle))
     probs = [Rational(0)] * (1 << table.bits)
     for y in cycle:
@@ -209,43 +205,29 @@ def enumerate_cycles(table: FunctionTable) -> List[Tuple[int, ...]]:
     return cycles
 
 
-def classical_decide(
-    program: CTCProgram, cr_fixings: Optional[Dict[int, int]] = None
-) -> Verdict:
+def classical_decide(program: CTCProgram) -> Verdict:
     """Decide a classical program under the all-consistent-distributions
     quantifier.
 
-    The canonical acceptance probability comes from the cycle reached
-    from the all-zeros string.  Every cycle is enumerated, in O(2^p)
-    steps against the 2^(p+qc) of the table, so every verdict is
-    certified: accept means every consistent distribution outputs 1 with
-    certainty, reject means 0 with certainty, anything else is
-    ambiguous.  cr_fixings pins chosen input bits of the
-    causality-respecting register (default all zeros).
+    The causality-respecting inputs are zero: the loop runs the induced
+    table of classical_table, and state y reads its output at row y << qc
+    of the full table.  The canonical acceptance probability comes from
+    the cycle reached from the all-zeros string.  Every cycle is
+    enumerated, in O(2^p) steps against the 2^(p+qc) of the table, so
+    every verdict is certified: accept means every consistent
+    distribution outputs 1 with certainty, reject means 0 with certainty,
+    anything else is ambiguous.
     """
     if program.kind != "classical":
         raise ValueError("classical_decide needs a classical program")
     if program.output_bit is None:
         raise ValueError("program has no designated output bit")
-    circuit: ClassicalCircuit = program.circuit
-    p, qc = circuit.ctc_bits, circuit.cr_bits
-    full, _ = classical_table(circuit)
-    z = 0
-    if cr_fixings:
-        for idx, bit in cr_fixings.items():
-            if not 0 <= idx < qc:
-                raise ValueError(f"cr index {idx} out of range")
-            if bit not in (0, 1):
-                raise ValueError(f"bit value {bit!r} must be 0 or 1")
-            z |= bit << (qc - 1 - idx)
-    induced = FunctionTable(
-        p, tuple(full.outputs[(y << qc) | z] >> qc for y in range(1 << p))
-    )
-
+    qc = program.circuit.cr_bits
+    full, induced = classical_table(program.circuit)
     out_pos = qc - 1 - program.output_bit
 
     def ones(cyc: Sequence[int]) -> int:
-        return sum((full.outputs[(y << qc) | z] >> out_pos) & 1 for y in cyc)
+        return sum((full.outputs[y << qc] >> out_pos) & 1 for y in cyc)
 
     dist, cycle = cycle_fixed_point(induced)
     p_acc = Rational(ones(cycle), len(cycle))
@@ -351,8 +333,8 @@ def stationary_distribution(chain: StochasticMatrix) -> StationaryResult:
     per_class = []
     for members in member_lists:
         k = len(members)
-        block = Matrix(k, k, (entries[i * dim + j] for i in members for j in members))
-        grid, imag, den = _int_grids(block)
+        block = (entries[i * dim + j] for i in members for j in members)
+        grid, imag, den = _int_grids(block, k, k)
         for i in range(k):
             grid[i][i] -= den
         basis = _grid_kernel(grid, imag, k)[1]
@@ -424,20 +406,16 @@ def stochastic_decide(program: CTCProgram) -> Verdict:
 # -- quantum --------------------------------------------------------------
 
 def _accept_operator(program: CTCProgram) -> Matrix:
-    """POVM element A = sum of A_y^dagger A_y over the Kraus operators
-    whose ancilla readout y has the output bit set, so that the acceptance
-    probability at CTC state rho is trace(A rho).  Built once and kept on
-    the (frozen) program, as circuit_isometry keeps V on its circuit."""
-    a = program.__dict__.get("_accept")
-    if a is None:
-        pos = program.circuit.cr_qubits - 1 - program.output_bit
-        kraus = induced_kraus(program)
-        a = Matrix.zeros(kraus[0].rows, kraus[0].cols)
-        for y, a_y in enumerate(kraus):
-            if (y >> pos) & 1:
-                a = a + a_y.dagger() @ a_y
-        program.__dict__["_accept"] = a
-    return a
+    """POVM element A = V_1^dagger V_1, so that the acceptance probability
+    at CTC state rho is trace(A rho): V_1 keeps the rows x' * 2^r + y of
+    the circuit isometry V whose ancilla readout y has the output bit set,
+    and row x' * 2^r + y of V is row x' of the Kraus operator A_y."""
+    v = circuit_isometry(program.circuit)
+    pos = program.circuit.cr_qubits - 1 - program.output_bit
+    n = v.cols
+    rows = [i for i in range(v.rows) if (i >> pos) & 1]
+    v1 = Matrix(len(rows), n, (e for i in rows for e in v.entries[i * n : (i + 1) * n]))
+    return v1.dagger() @ v1
 
 
 def accept_probability(program: CTCProgram, rho: DensityMatrix) -> Rational:
@@ -535,7 +513,7 @@ def quantum_decide(program: CTCProgram, allow_large: bool = False) -> Verdict:
 
     evals = np.linalg.eigvalsh(to_complex_array(h))
     lo, hi = float(evals[0]), float(evals[-1])
-    grid = _int_grids(h)
+    grid = _int_grids(h.entries, n, n)
     # each p_acc test is a necessary condition that skips the exact check
     # when it fails
     if p_acc >= ACCEPT_THRESHOLD and _beyond(grid, ACCEPT_THRESHOLD, 1):
@@ -641,18 +619,11 @@ class MachineSpec:
         return i in self.accepting or i in self.rejecting
 
     def _run_from(self, i: int) -> Tuple[Tuple[int, ...], int]:
-        """Configurations visited from i through halting, plus the answer."""
+        """Configurations visited from i through halting, plus the answer.
+        The constructor has checked that every configuration halts."""
         path = [i]
-        seen = {i}
         while not self._is_halting(path[-1]):
-            nxt = self.successors[path[-1]]
-            if nxt in seen:
-                raise ValueError(
-                    f"machine never halts from {self.names[i]} (loops at "
-                    f"{self.names[nxt]})"
-                )
-            path.append(nxt)
-            seen.add(nxt)
+            path.append(self.successors[path[-1]])
         return tuple(path), 1 if path[-1] in self.accepting else 0
 
     def canonical_run(self) -> Tuple[Tuple[int, ...], int]:

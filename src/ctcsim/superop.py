@@ -10,11 +10,12 @@ matrix of a Kraus family {A_j} is sum_j A_j (x) conj(A_j).  The ancilla
 occupies the low-order index block throughout, matching circuits.py.
 
 program_to_natural builds the channel from the induced Kraus family, one
-operator per ancilla readout value; the same family gives the acceptance
-measurement in semantics.py.  kraus_to_natural assembles the natural
-matrix on an integer grid: exact.matrices._int_grids clears the stacked
-family to one shared denominator D, the sum runs over Gaussian integers,
-and _divided builds each entry of the result by one division by D^2.
+operator per ancilla readout value; semantics.py reads the acceptance
+measurement off the isometry's rows.  kraus_to_natural assembles the
+natural matrix on an integer grid: exact.matrices._int_grids clears the
+stacked family to one shared denominator D, the sum runs over Gaussian
+integers, and _divided builds each entry of the result by one division
+by D^2.
 choi_matrix and the CP certificate in fixpoint.py share one index map.
 """
 
@@ -148,7 +149,7 @@ def kraus_to_natural(kraus: Sequence[Matrix]) -> Superoperator:
         if a.rows != n or a.cols != n:
             raise ValueError("Kraus operators must be square and of equal dimension")
     # the family cleared as one stacked grid: row j * n + i is row i of D * A_j
-    gr, gi, den = _int_grids(Matrix(len(kraus) * n, n, (e for a in kraus for e in a.entries)))
+    gr, gi, den = _int_grids((e for a in kraus for e in a.entries), len(kraus) * n, n)
     # the nonzero entries of each D * A_j as (row, col, re, im)
     grids = [[] for _ in kraus]
     for i, row in enumerate(zip(gr, gi)):

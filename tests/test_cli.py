@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import random_quantum_program
 
 import ctcsim.semantics
 from ctcsim import cli
@@ -166,6 +175,46 @@ def test_decide_json_is_deterministic(tmp_path, capsys):
     assert json.dumps(doc1["data"], sort_keys=True) == json.dumps(
         doc2["data"], sort_keys=True
     )
+
+
+def decide_data(text):
+    """Exit code and --json data of `decide` on a program text; the float
+    range is dropped, since it alone may come from floats."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "prog.ctc")
+        Path(path).write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_cli(["decide", "--json", path])
+    data = json.loads(out.getvalue())["data"]
+    del data["probability_range_approx"]
+    return code, data
+
+
+QUANTUM_TEXTS = st.one_of(
+    st.sampled_from(
+        [t for t in QUANTUM_DEMOS.values() if parse_program(t).output_bit is not None]
+    ),
+    st.integers(0, 100_000).map(
+        lambda seed: program_to_text(random_quantum_program(random.Random(seed), r=2))
+    ),
+)
+
+
+@given(QUANTUM_TEXTS, st.sampled_from([-5.0, 0.5, float("nan")]))
+def test_poisoned_eigenvalues_change_no_verdict(text, value):
+    """No float decides a verdict: with eigvalsh returning a constant or
+    NaN, `decide` gives the same verdict, exact p_acc and exit code."""
+    expected = decide_data(text)
+    calls = []
+
+    def poisoned(a):
+        calls.append(a)
+        return np.full(len(a), value)
+
+    with mock.patch("numpy.linalg.eigvalsh", poisoned):
+        assert decide_data(text) == expected
+    assert calls
 
 
 # -- fixpoint ----------------------------------------------------------------
@@ -469,7 +518,6 @@ def test_ten_qubit_circuit_is_refused_before_any_column_is_built(tmp_path, capsy
     with pytest.raises(ResourceLimitError):
         quantum_decide(program)
     assert not {"_unitary", "_isometry"} & set(program.circuit.__dict__)
-    assert "_accept" not in program.__dict__
 
 
 def test_huge_register_is_refused_without_work(tmp_path, capsys):

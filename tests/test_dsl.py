@@ -184,8 +184,22 @@ def test_error_table_row_width():
 
 
 def test_error_stochastic_needs_one_cr():
-    text = "stochastic\nregisters ctc=1 cr=2\nmatrix = [1, 0; 0, 1]\n"
-    expect_error(text, 2, fragment="cr=1")
+    # reported at the registers line, wherever the body starts
+    text = "stochastic\nregisters ctc=1 cr=2\n# c\n\nmatrix = [1, 0; 0, 1]\n"
+    expect_error(text, 2, col=17, fragment="cr=1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "quantum\nregisters ctc=1 cr=2\napply X ctc[0]\noutput cr[0]\n# c\noutput cr[1]\n",
+        "classical\nregisters ctc=1 cr=2\ncopy cr[0] <- ctc[0]\noutput cr[0]\n\noutput cr[0]\n",
+        "stochastic\nregisters ctc=1 cr=1\nmatrix = [1, 0; 0, 1]\noutput cr[0]\n\noutput cr[0]\n",
+    ],
+    ids=["quantum", "classical", "stochastic"],
+)
+def test_error_second_output_line(text):
+    expect_error(text, 6, col=1, fragment="output is already defined")
 
 
 def test_error_stochastic_needs_matrix():

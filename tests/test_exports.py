@@ -150,3 +150,47 @@ def test_every_pinned_import_is_a_trace_target():
             if marked and (module, bound) not in wrapped
         ]
     assert not stray, f"pinned imports that no trace target wraps: {stray}"
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    """A defaulted parameter of a module-level function is a knob: some call
+    in the package passes it, by keyword or by position, or it goes.
+    cli.main is exempt: the console entry point is called without
+    arguments, and its argv default means the command line."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+
+    def passed(func, index, name):
+        return any(
+            any(k.arg in (name, None) for k in call.keywords)  # None: **kwargs
+            or (index is not None and (
+                len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+            ))
+            for call in calls.get(func, ())
+        )
+
+    unset = []
+    for path, tree in trees.items():
+        where = str(path.relative_to(PACKAGE_DIR))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or (where, fn.name) == ("cli.py", "main"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            knobs = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            knobs += [
+                (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None
+            ]
+            unset += [f"{where}::{fn.name}({name})" for i, name in knobs
+                      if not passed(fn.name, i, name)]
+    assert not unset, f"defaulted parameters that no call in the package passes: {unset}"

@@ -271,7 +271,7 @@ def kernel_sources(draw):
 @example(Matrix.identity(4))
 @given(kernel_sources())
 def test_grid_kernel_over_its_pivot_is_the_field_nullspace(m):
-    re_rows, im_rows, _ = _int_grids(m)
+    re_rows, im_rows, _ = _int_grids(m.entries, m.rows, m.cols)
     (pr, pi), cols = _grid_kernel(re_rows, im_rows, m.cols)
     pivot = GaussianRational(pr, pi)
     scaled = [[GaussianRational(a, b) / pivot for a, b in zip(vr, vi)] for vr, vi in cols]

@@ -31,7 +31,7 @@ from ctcsim.circuits import (
 )
 from ctcsim.dsl import parse_program, program_to_text
 from ctcsim.errors import ContractViolationError
-from ctcsim import semantics
+from ctcsim import superop
 from ctcsim.exact import matrices
 from ctcsim.exact.matrices import Matrix, _int_grids, hermitian_psd_check
 from ctcsim.exact.scalars import GaussianRational, Rational
@@ -52,6 +52,7 @@ from ctcsim.semantics import (
     gadget_np_search,
     gadget_pspace,
     parse_machine,
+    program_projector,
     quantum_decide,
     stationary_distribution,
     terminal_classes,
@@ -209,17 +210,6 @@ def test_np_search_decision_matches_predicate(seed):
     assert v.decision == ("accept" if any(sols) else "reject")
     if any(sols):
         assert all(sols[y] for y in v.witness.support())
-
-
-def test_classical_decide_cr_fixings():
-    text = "classical\nregisters ctc=1 cr=2\ncopy cr[1] <- cr[0]\noutput cr[1]\n"
-    prog = parse_program(text)
-    assert classical_decide(prog).decision == "reject"
-    assert classical_decide(prog, cr_fixings={0: 1}).decision == "accept"
-    with pytest.raises(ValueError):
-        classical_decide(prog, cr_fixings={5: 1})
-    with pytest.raises(ValueError):
-        classical_decide(prog, cr_fixings={0: 2})
 
 
 def test_classical_decide_ambiguous_two_cycles():
@@ -584,24 +574,23 @@ def test_threshold_shift_on_the_grid_matches_the_matrix_route(seed, n, t, kind, 
     hermitian_psd_check does on the Fraction matrix, ties at t included."""
     h = random_hermitian(random.Random(seed), n, t, kind)
     shifted = (h - Matrix.identity(n).scale(t)).scale(sign)
-    assert _beyond(_int_grids(h), t, sign) == bool(hermitian_psd_check(shifted))
+    assert _beyond(_int_grids(h.entries, n, n), t, sign) == bool(hermitian_psd_check(shifted))
 
 
-def test_acceptance_element_is_built_once_per_decision(monkeypatch):
-    """accept_probability and acceptance_operator share one A per program."""
+def test_one_decision_reads_the_kraus_family_once(monkeypatch):
+    """The Kraus family is read for the channel alone; A comes straight
+    off the isometry's rows."""
     builds = []
-    real = semantics.induced_kraus
+    real = superop.induced_kraus
 
     def counted(program):
         builds.append(program)
         return real(program)
 
-    monkeypatch.setattr(semantics, "induced_kraus", counted)
+    monkeypatch.setattr(superop, "induced_kraus", counted)
     program = quantum_demo("entangler")
     quantum_decide(program)
-    assert len(builds) == 1
-    quantum_decide(program)
-    assert len(builds) == 1
+    assert builds == [program]
 
 
 def test_decision_builds_the_isometry_once_and_never_the_unitary(monkeypatch):
@@ -684,6 +673,26 @@ def test_acceptance_routes_agree_on_demos(name):
 def test_acceptance_routes_agree_on_random_programs(seed):
     rng = random.Random(seed)
     check_acceptance_routes(random_quantum_program(rng, r=rng.randint(1, 2)))
+
+
+@given(st.integers(0, 100_000))
+def test_output_negation_mirrors_the_verdict(seed):
+    """X on the output wire just before `output` leaves the channel alone
+    and turns A into I - A: accept and reject swap, p_acc becomes
+    1 - p_acc, H becomes I - H and the range is mirrored."""
+    rng = random.Random(seed)
+    lines = program_to_text(random_quantum_program(rng, r=rng.randint(1, 2))).splitlines()
+    wire = lines[-1].split()[1]  # the output line comes last
+    before = parse_program("\n".join(lines))
+    after = parse_program("\n".join(lines[:-1] + [f"apply X {wire}", lines[-1]]))
+    va, vb = quantum_decide(before), quantum_decide(after)
+    swapped = {"accept": "reject", "reject": "accept"}
+    assert vb.decision == swapped.get(va.decision, va.decision)
+    assert vb.exact_accept_probability == 1 - va.exact_accept_probability
+    lo, hi = va.probability_range
+    assert vb.probability_range == pytest.approx((1 - hi, 1 - lo), abs=1e-9)
+    h = acceptance_operator(before, program_projector(before))
+    assert acceptance_operator(after, program_projector(after)) == Matrix.identity(h.rows) - h
 
 
 def test_accept_probability_on_basis_states():
